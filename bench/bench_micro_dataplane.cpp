@@ -6,6 +6,7 @@
 // throughput.
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -190,22 +191,18 @@ void BM_PipelineWalkTelemetry(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineWalkTelemetry)->Arg(0)->Arg(1);
 
-void PacketPathBench(benchmark::State& state, bool pooled) {
+void BM_PacketPath(benchmark::State& state) {
   // The full per-hop cost of the simulator's forwarding primitive: link
   // admission, serialization scheduling, event-queue insertion, delivery,
-  // host receive.  Pooled (the default) parks in-flight packets in the
-  // network's arena so the delivery closure fits SmallCallback inline;
-  // heap (the A/B knob) reverts to carrying the packet inside a boxed
-  // closure — one malloc/free per hop, the pre-pool behavior.  The CI gate
-  // pins the pooled/heap items_per_second ratio, which is machine-
-  // independent in a way absolute nanoseconds are not.
+  // host receive.  In-flight packets park in the network's packet pool, so
+  // the delivery closure fits SmallCallback inline: no allocation per hop.
+  // Arg(0) packets are in flight at once.
   sim::Topology topo;
   const NodeId a = topo.AddNode(sim::NodeKind::kHost, "a");
   const NodeId b = topo.AddNode(sim::NodeKind::kHost, "b");
   const LinkId ab = topo.AddDuplexLink(a, b, 1e12, kMicrosecond, 1u << 30);
   (void)a;
   sim::Network net(topo, 1);
-  net.set_packet_pooling(pooled);
   const int batch = static_cast<int>(state.range(0));
   std::uint64_t sent = 0;
   for (auto _ : state) {
@@ -225,10 +222,7 @@ void PacketPathBench(benchmark::State& state, bool pooled) {
   state.SetItemsProcessed(static_cast<std::int64_t>(sent));
 }
 
-void BM_PacketPathPooled(benchmark::State& state) { PacketPathBench(state, true); }
-void BM_PacketPathHeap(benchmark::State& state) { PacketPathBench(state, false); }
-BENCHMARK(BM_PacketPathPooled)->Arg(32)->Arg(256)->Arg(4096);
-BENCHMARK(BM_PacketPathHeap)->Arg(32)->Arg(256)->Arg(4096);
+BENCHMARK(BM_PacketPath)->Arg(32)->Arg(256)->Arg(4096);
 
 void BM_TagAttachInline(benchmark::State& state) {
   // Tagging a packet with TagList: the first kInlineTags tags live inside
@@ -263,17 +257,26 @@ void BM_TagAttachLegacyVector(benchmark::State& state) {
 }
 BENCHMARK(BM_TagAttachLegacyVector);
 
+// The shape of the arrival closure Network::SendOnLink schedules per hop,
+// [this, to, link, h]: a pointer and three 32-bit ids, 24 bytes with
+// padding.  SmallCallback stores it inline; libstdc++'s std::function keeps
+// only 16 bytes locally, so it boxes this capture on the heap.
+auto DeliveryClosure(std::uint64_t* sink, std::uint32_t h) {
+  const NodeId to = 2;
+  const LinkId link = 3;
+  return [sink, to, link, h] { *sink += static_cast<std::uint64_t>(to + link) + h; };
+}
+static_assert(sizeof(decltype(DeliveryClosure(nullptr, 0))) == 24);
+
 void BM_EventClosureInline(benchmark::State& state) {
-  // Scheduling a delivery-sized closure (three words of capture, the shape
-  // of the pooled arrival event) through the event queue.  SmallCallback
-  // keeps it inline: no allocation per event.
+  // Scheduling and firing the per-hop arrival closure through the event
+  // queue.  SmallCallback keeps it inline: no allocation per event.
   sim::EventQueue q;
   std::uint64_t sink = 0;
-  std::uint64_t* p = &sink;
-  std::uint32_t link = 3, slot = 5;
+  std::uint32_t h = 0;
   SimTime t = 0;
   for (auto _ : state) {
-    q.ScheduleAt(++t, [p, link, slot] { *p += link + slot; });
+    q.ScheduleAt(++t, DeliveryClosure(&sink, ++h));
     q.RunAll();
   }
   benchmark::DoNotOptimize(sink);
@@ -283,16 +286,15 @@ BENCHMARK(BM_EventClosureInline);
 
 void BM_EventClosureFunction(benchmark::State& state) {
   // The same closure routed through std::function first — the pre-refactor
-  // event representation.  libstdc++'s std::function inlines only 16 bytes,
-  // so this capture heap-allocates on construction and frees on event
-  // destruction, once per hop.
+  // event representation.  The 24-byte capture exceeds std::function's
+  // local buffer, so it heap-allocates on construction and frees when the
+  // fired event is destroyed, once per hop.
   sim::EventQueue q;
   std::uint64_t sink = 0;
-  std::uint64_t* p = &sink;
-  std::uint32_t link = 3, slot = 5;
+  std::uint32_t h = 0;
   SimTime t = 0;
   for (auto _ : state) {
-    std::function<void()> fn = [p, link, slot] { *p += link + slot; };
+    std::function<void()> fn = DeliveryClosure(&sink, ++h);
     q.ScheduleAt(++t, std::move(fn));
     q.RunAll();
   }
@@ -300,6 +302,34 @@ void BM_EventClosureFunction(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventClosureFunction);
+
+void BM_EventQueueHold(benchmark::State& state) {
+  // The queue layer's cost per event at a steady pending-set size (the
+  // classic hold model): each step pops the earliest event and pushes one
+  // at a random later time, so Arg(0) events stay pending.  The sizes
+  // approximate the perfbench workloads' peak pending sets: 1,913 on
+  // fig3_lfa, 8,121 on syn_flood and 9,155 on ring_tcp.
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kDelays = 1u << 16;
+  Rng rng(7);
+  std::vector<SimTime> delays(kDelays);
+  for (auto& d : delays) d = rng.UniformInt(1, kSecond);
+  sim::EventQueue q;
+  q.Reserve(pending + 1);
+  std::uint64_t sink = 0;
+  std::uint32_t h = 0;
+  for (std::size_t i = 0; i < pending; ++i) {
+    q.ScheduleAt(delays[i % kDelays], DeliveryClosure(&sink, ++h));
+  }
+  for (auto _ : state) {
+    q.DispatchOne(sim::EventQueue::kNoEvent);
+    ++h;
+    q.ScheduleAt(q.Now() + delays[h % kDelays], DeliveryClosure(&sink, h));
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(2048)->Arg(8192);
 
 void BM_EventQueueSchedule(benchmark::State& state) {
   // Event admission cost, single vs bulk.  Arg(0): one ScheduleAt per

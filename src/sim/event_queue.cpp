@@ -13,35 +13,55 @@ ExecContext& CurrentExec() {
   return exec;
 }
 
+std::uint32_t EventQueue::Park(std::int64_t ctx, Callback&& fn) {
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  slots_[slot].ctx = ctx;
+  slots_[slot].fn = std::move(fn);
+  return slot;
+}
+
+// Both sifts carry the moving key in a local and shift the keys it passes
+// into the hole, writing it once where it settles.
 void EventQueue::SiftUp(std::size_t i) {
+  const Key k = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!Before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    if (!Before(k, heap_[parent])) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
+  heap_[i] = k;
 }
 
 void EventQueue::SiftDown(std::size_t i) {
   const std::size_t n = heap_.size();
+  const Key k = heap_[i];
   for (;;) {
-    const std::size_t left = 2 * i + 1;
-    if (left >= n) break;
-    const std::size_t right = left + 1;
-    std::size_t smallest = left;
-    if (right < n && Before(heap_[right], heap_[left])) smallest = right;
-    if (!Before(heap_[smallest], heap_[i])) break;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) ++child;
+    if (!Before(heap_[child], k)) break;
+    heap_[i] = heap_[child];
+    i = child;
   }
+  heap_[i] = k;
 }
 
 EventQueue::Event EventQueue::PopTop() {
-  Event ev = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
+  const Key top = heap_.front();
+  heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) SiftDown(0);
-  return ev;
+  free_.push_back(top.slot);
+  Slot& s = slots_[top.slot];
+  return Event{top.t, top.seq, s.ctx, std::move(s.fn)};
 }
 
 void EventQueue::ScheduleAt(SimTime t, Callback fn) {
@@ -50,7 +70,7 @@ void EventQueue::ScheduleAt(SimTime t, Callback fn) {
 
 void EventQueue::ScheduleAtCtx(SimTime t, std::int64_t ctx, Callback fn) {
   if (t < now_) t = now_;
-  heap_.push_back(Event{t, next_seq_++, ctx, std::move(fn)});
+  heap_.push_back(Key{t, next_seq_++, Park(ctx, std::move(fn))});
   SiftUp(heap_.size() - 1);
   if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
 }
@@ -65,7 +85,7 @@ void EventQueue::ScheduleBulk(std::vector<TimedEvent> batch) {
   const std::int64_t ctx = CurrentExec().ctx;
   for (auto& e : batch) {
     const SimTime t = e.t < now_ ? now_ : e.t;
-    heap_.push_back(Event{t, next_seq_++, ctx, std::move(e.fn)});
+    heap_.push_back(Key{t, next_seq_++, Park(ctx, std::move(e.fn))});
     if (!rebuild) SiftUp(heap_.size() - 1);
   }
   if (rebuild && heap_.size() > 1) {
@@ -111,10 +131,16 @@ bool EventQueue::DispatchOne(SimTime cap) {
 }
 
 std::vector<EventQueue::Event> EventQueue::ExtractAll() {
-  std::vector<Event> out = std::move(heap_);
+  std::sort(heap_.begin(), heap_.end(), Before);
+  std::vector<Event> out;
+  out.reserve(heap_.size());
+  for (const Key& k : heap_) {
+    Slot& s = slots_[k.slot];
+    out.push_back(Event{k.t, k.seq, s.ctx, std::move(s.fn)});
+  }
   heap_.clear();
-  std::sort(out.begin(), out.end(),
-            [](const Event& a, const Event& b) { return Before(a, b); });
+  slots_.clear();
+  free_.clear();
   return out;
 }
 

@@ -1,6 +1,10 @@
 // Discrete-event engine.
 //
-// An explicit binary min-heap keyed by (time, insertion sequence).
+// An explicit binary min-heap of 24-byte (time, insertion sequence, slot)
+// keys.  Each pending event's owner tag and callback are parked in a slot
+// array recycled through a LIFO free list, so a sift moves keys only: a
+// callback is written into its slot once at admission and moved out once
+// when it fires, never relocated while the heap reorders.
 //
 // Ordering contract (replay identity depends on it): events pop in
 // ascending time, and events scheduled for the *same* simulated time pop in
@@ -36,10 +40,11 @@ class EventQueue {
     Callback fn;
   };
 
-  /// A pending event.  `ctx` is the owner-node tag stamped from the
-  /// scheduling thread's ExecContext (-1 = global); ShardedEngine uses it
-  /// to migrate pre-scheduled events into their owner shards.  Public so
-  /// ExtractAll can hand events across queues without copying callbacks.
+  /// An event taken off the queue (popped to fire, or extracted).  `ctx` is
+  /// the owner-node tag stamped from the scheduling thread's ExecContext
+  /// (-1 = global); ShardedEngine uses it to migrate pre-scheduled events
+  /// into their owner shards.  Public so ExtractAll can hand events across
+  /// queues without copying callbacks.
   struct Event {
     SimTime t;
     std::uint64_t seq;
@@ -71,9 +76,14 @@ class EventQueue {
   /// per entry.
   void ScheduleBulk(std::vector<TimedEvent> batch);
 
-  /// Pre-sizes the pending-event storage (e.g. before injecting a large
-  /// traffic schedule) so admission never reallocates mid-run.
-  void Reserve(std::size_t events) { heap_.reserve(events); }
+  /// Pre-sizes the pending-event storage (keys, slots and free list, e.g.
+  /// before injecting a large traffic schedule) so admission never
+  /// reallocates mid-run.
+  void Reserve(std::size_t events) {
+    heap_.reserve(events);
+    slots_.reserve(events);
+    free_.reserve(events);
+  }
 
   /// Runs events until the queue is empty or the next event is after `until`.
   /// Time advances to `until` even if the queue drains earlier.
@@ -125,13 +135,33 @@ class EventQueue {
   void set_profiler(telemetry::Profiler* prof) { prof_ = prof; }
 
  private:
+  /// A heap entry: the event's (t, seq) order key and the slot holding its
+  /// owner tag and callback.
+  struct Key {
+    SimTime t;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  static_assert(sizeof(Key) == 24);
+
+  struct Slot {
+    std::int64_t ctx;
+    Callback fn;
+  };
+
   /// Strict total order: earlier time first, earlier insertion first.
-  static bool Before(const Event& a, const Event& b) {
+  static bool Before(const Key& a, const Key& b) {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   }
 
+  /// Parks (ctx, fn) in a free slot (or a new one) and returns its index.
+  std::uint32_t Park(std::int64_t ctx, Callback&& fn);
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
+  /// Removes the earliest event and moves its callback out of its slot,
+  /// which returns to the free list: the callback may schedule (and so
+  /// grow the slot array), and its captures die with the returned Event,
+  /// before the next event fires.
   Event PopTop();
 
   SimTime now_ = 0;
@@ -139,7 +169,9 @@ class EventQueue {
   std::uint64_t processed_ = 0;
   std::size_t peak_pending_ = 0;
   telemetry::Profiler* prof_ = nullptr;
-  std::vector<Event> heap_;  // binary min-heap under Before()
+  std::vector<Key> heap_;            // binary min-heap under Before()
+  std::vector<Slot> slots_;          // indexed by Key::slot
+  std::vector<std::uint32_t> free_;  // LIFO: the hottest slot is reused first
 };
 
 }  // namespace fastflex::sim

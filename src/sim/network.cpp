@@ -178,26 +178,17 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
     shard_engine_->StageDelivery(link, arrive, std::move(pkt));
     return;
   }
+  // Park the packet in a pooled slot; the delivery closure carries only
+  // the handle, so it stays within the callback's inline capture budget.
+  // Zero allocations per hop once the pool and the event queue are warm.
   const NodeId to = info.to;
-  if (pooling_) [[likely]] {
-    // Park the packet in a pooled slot; the delivery closure carries only
-    // the handle, so it stays within the callback's inline capture budget.
-    // Zero allocations per hop once the pool and heap are warm.
-    const PacketPool::Handle h = pool_.Acquire();
-    *pool_.Get(h) = std::move(pkt);
-    events_.ScheduleAt(arrive, [this, to, link, h] {
-      if (prof_ != nullptr) [[unlikely]] prof_->RegionEvent(node_region(to), Now());
-      nodes_[static_cast<std::size_t>(to)]->Receive(std::move(*pool_.Get(h)), link);
-      pool_.Release(h);
-    });
-  } else {
-    // Pre-pool behavior, kept for A/B measurement: the packet rides inside
-    // the closure, which exceeds the inline budget and is heap-boxed.
-    events_.ScheduleAt(arrive, [this, to, link, p = std::move(pkt)]() mutable {
-      if (prof_ != nullptr) [[unlikely]] prof_->RegionEvent(node_region(to), Now());
-      nodes_[static_cast<std::size_t>(to)]->Receive(std::move(p), link);
-    });
-  }
+  const PacketPool::Handle h = pool_.Acquire();
+  *pool_.Get(h) = std::move(pkt);
+  events_.ScheduleAt(arrive, [this, to, link, h] {
+    if (prof_ != nullptr) [[unlikely]] prof_->RegionEvent(node_region(to), Now());
+    nodes_[static_cast<std::size_t>(to)]->Receive(std::move(*pool_.Get(h)), link);
+    pool_.Release(h);
+  });
 }
 
 void Network::EnableLinkSampling(SimTime period) {

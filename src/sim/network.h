@@ -166,13 +166,6 @@ class Network {
   PacketPool& pool() { return pool_; }
   const PacketPool& pool() const { return pool_; }
 
-  /// A/B knob for the packet-path benches: with pooling off, SendOnLink
-  /// reverts to carrying each in-flight packet inside a heap-boxed closure
-  /// (the pre-pool behavior).  Defaults to on; exists only so the
-  /// regression gate can measure the pool's effect in one binary.
-  void set_packet_pooling(bool on) { pooling_ = on; }
-  bool packet_pooling() const { return pooling_; }
-
   const LinkRuntime& link_runtime(LinkId l) const {
     return link_rt_[static_cast<std::size_t>(l)];
   }
@@ -379,7 +372,6 @@ class Network {
   std::vector<std::unique_ptr<Rng>> link_rngs_;
   std::vector<std::unique_ptr<Rng>> node_rngs_;
   PacketPool pool_;
-  bool pooling_ = true;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<LinkRuntime> link_rt_;
   std::unordered_map<FlowId, FlowStats> flow_stats_;

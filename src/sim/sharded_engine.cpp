@@ -218,7 +218,7 @@ void ShardedEngine::StageDelivery(LinkId link, SimTime arrive, Packet&& pkt) {
   ChannelMsg m;
   m.t = arrive;
   m.seq = seq;
-  if (cur != nullptr && net_.pooling_) {
+  if (cur != nullptr) {
     m.handle = dst.pool.Acquire();
     m.pooled = true;
     *dst.pool.Get(m.handle) = std::move(pkt);

@@ -1,9 +1,17 @@
 // Discrete-event engine tests: ordering, determinism, re-entrancy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/exec_context.h"
+#include "util/rng.h"
 
 namespace fastflex::sim {
 namespace {
@@ -164,6 +172,191 @@ TEST(EventQueueTest, ProcessedCountsEvents) {
   for (int i = 0; i < 7; ++i) q.ScheduleAt(i, [] {});
   q.RunAll();
   EXPECT_EQ(q.processed(), 7u);
+}
+
+// Weak-pointer-guarded timers rely on a fired callback's captures dying
+// with it, before the next event runs, not lingering in queue storage until
+// the slot is reused.  Checked on each dispatch path.
+TEST(EventQueueTest, FiredCallbackIsDestroyedBeforeTheNextEventRuns) {
+  enum class Path { kRunUntil, kDispatchOne, kRunAll };
+  for (Path path : {Path::kRunUntil, Path::kDispatchOne, Path::kRunAll}) {
+    EventQueue q;
+    auto token = std::make_shared<int>(7);
+    std::weak_ptr<int> watch = token;
+    bool expired_at_second = false;
+    q.ScheduleAt(1, [t = std::move(token)] { EXPECT_EQ(*t, 7); });
+    q.ScheduleAt(2, [&] { expired_at_second = watch.expired(); });
+    switch (path) {
+      case Path::kRunUntil:
+        q.RunUntil(1);
+        EXPECT_TRUE(watch.expired());
+        break;
+      case Path::kDispatchOne:
+        ASSERT_TRUE(q.DispatchOne(1));
+        EXPECT_TRUE(watch.expired());
+        break;
+      case Path::kRunAll:
+        break;
+    }
+    q.RunAll();
+    EXPECT_TRUE(expired_at_second);
+  }
+}
+
+// ---- Differential test against an ordered-map reference model ------------
+//
+// Every event carries an id; firing logs (id, Now(), the thread's exec ctx).
+// Ids divisible by 4 spawn a child from inside their callback, so admission
+// interleaves with dispatch and the slot array can grow mid-callback; ids
+// divisible by 3 capture more than the inline budget (boxed callbacks).
+
+struct Fired {
+  int id;
+  SimTime t;
+  std::int64_t ctx;
+};
+
+constexpr int kChildOffset = 1'000'000;
+bool Spawns(int id) { return id % 4 == 0 && id < 2 * kChildOffset; }
+int ChildOf(int id) { return id + kChildOffset; }
+SimTime ChildDelay(int id) { return id % 7; }
+
+struct Harness {
+  EventQueue q;
+  std::vector<Fired> log;
+
+  EventQueue::Callback Make(int id) {
+    if (id % 3 == 0) {
+      std::array<std::int64_t, 8> pad{};
+      pad[7] = id;
+      return [this, pad] { Fire(static_cast<int>(pad[7])); };
+    }
+    return [this, id] { Fire(id); };
+  }
+
+  void Fire(int id) {
+    log.push_back({id, q.Now(), CurrentExec().ctx});
+    if (Spawns(id)) q.ScheduleAt(q.Now() + ChildDelay(id), Make(ChildOf(id)));
+  }
+};
+
+// The queue's contract restated over a std::map keyed by (t, seq).
+struct Model {
+  struct Entry {
+    int id;
+    std::int64_t ctx;
+  };
+  std::map<std::pair<SimTime, std::uint64_t>, Entry> pending;
+  SimTime now = 0;
+  std::uint64_t next_seq = 0;
+  std::uint64_t processed = 0;
+  std::size_t peak = 0;
+  std::int64_t exec_ctx = -1;  // DispatchOne leaves it at the fired event's tag
+  std::vector<Fired> log;
+
+  SimTime Front() const {
+    return pending.empty() ? EventQueue::kNoEvent : pending.begin()->first.first;
+  }
+
+  void Admit(SimTime t, std::int64_t ctx, int id) {
+    pending.emplace(std::pair{std::max(t, now), next_seq++}, Entry{id, ctx});
+    peak = std::max(peak, pending.size());
+  }
+
+  void Fire(bool sets_ctx) {
+    const auto [key, e] = *pending.begin();
+    pending.erase(pending.begin());
+    now = key.first;
+    ++processed;
+    if (sets_ctx) exec_ctx = e.ctx;
+    log.push_back({e.id, now, exec_ctx});
+    if (Spawns(e.id)) Admit(now + ChildDelay(e.id), exec_ctx, ChildOf(e.id));
+  }
+};
+
+void ExpectSameState(const Harness& h, const Model& m, std::size_t& checked) {
+  ASSERT_EQ(h.q.Now(), m.now);
+  ASSERT_EQ(h.q.Pending(), m.pending.size());
+  ASSERT_EQ(h.q.Empty(), m.pending.empty());
+  ASSERT_EQ(h.q.PeekTime(), m.Front());
+  ASSERT_EQ(h.q.processed(), m.processed);
+  ASSERT_EQ(h.q.peak_pending(), m.peak);
+  ASSERT_EQ(h.log.size(), m.log.size());
+  for (; checked < m.log.size(); ++checked) {
+    ASSERT_EQ(h.log[checked].id, m.log[checked].id) << "pop " << checked;
+    ASSERT_EQ(h.log[checked].t, m.log[checked].t) << "pop " << checked;
+    ASSERT_EQ(h.log[checked].ctx, m.log[checked].ctx) << "pop " << checked;
+  }
+}
+
+TEST(EventQueueTest, MatchesOrderedMapModelUnderMixedOperations) {
+  ExecContext& exec = CurrentExec();
+  const std::int64_t saved_ctx = exec.ctx;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    exec.ctx = -1;
+    Rng rng(seed);
+    Harness h;
+    Model m;
+    std::size_t checked = 0;
+    int next_id = 1;
+    for (int step = 0; step < 3000; ++step) {
+      const std::int64_t op = rng.UniformInt(0, 99);
+      if (op < 30) {  // may land in the past: clamps to Now()
+        const SimTime t = m.now + rng.UniformInt(-5, 40);
+        const int id = next_id++;
+        m.Admit(t, m.exec_ctx, id);
+        h.q.ScheduleAt(t, h.Make(id));
+      } else if (op < 45) {
+        const SimTime t = m.now + rng.UniformInt(-5, 40);
+        const std::int64_t ctx = rng.UniformInt(-1, 7);
+        const int id = next_id++;
+        m.Admit(t, ctx, id);
+        h.q.ScheduleAtCtx(t, ctx, h.Make(id));
+      } else if (op < 52) {  // sizes straddle the sift-up / rebuild cut-off
+        std::vector<EventQueue::TimedEvent> batch;
+        const std::int64_t n = rng.UniformInt(1, 40);
+        for (std::int64_t i = 0; i < n; ++i) {
+          const SimTime t = m.now + rng.UniformInt(-5, 60);
+          const int id = next_id++;
+          m.Admit(t, m.exec_ctx, id);
+          batch.push_back({t, h.Make(id)});
+        }
+        h.q.ScheduleBulk(std::move(batch));
+      } else if (op < 80) {
+        const SimTime cap = m.now + rng.UniformInt(-2, 20);
+        const bool runs = m.Front() <= cap;
+        if (runs) m.Fire(/*sets_ctx=*/true);
+        ASSERT_EQ(h.q.DispatchOne(cap), runs);
+      } else if (op < 97) {
+        const SimTime until = m.now + rng.UniformInt(-2, 30);
+        while (m.Front() <= until) m.Fire(/*sets_ctx=*/false);
+        m.now = std::max(m.now, until);
+        h.q.RunUntil(until);
+      } else {  // extract everything, then admit it back in pop order
+        std::vector<EventQueue::Event> events = h.q.ExtractAll();
+        ASSERT_TRUE(h.q.Empty());
+        ASSERT_EQ(events.size(), m.pending.size());
+        auto old = std::move(m.pending);
+        m.pending.clear();
+        std::size_t i = 0;
+        for (const auto& [key, e] : old) {
+          EventQueue::Event& ev = events[i++];
+          ASSERT_EQ(ev.t, key.first);
+          ASSERT_EQ(ev.seq, key.second);
+          ASSERT_EQ(ev.ctx, e.ctx);
+          m.Admit(ev.t, ev.ctx, e.id);
+          h.q.ScheduleAtCtx(ev.t, ev.ctx, std::move(ev.fn));
+        }
+      }
+      ExpectSameState(h, m, checked);
+      if (HasFatalFailure()) break;
+    }
+    while (!m.pending.empty()) m.Fire(/*sets_ctx=*/false);
+    h.q.RunAll();
+    ExpectSameState(h, m, checked);
+  }
+  exec.ctx = saved_ctx;
 }
 
 }  // namespace
