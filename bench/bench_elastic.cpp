@@ -15,8 +15,8 @@
 //      began) and post-attack teardown time, both in sim-time — machine
 //      independent, gated with fixed bounds.
 //   3. Determinism: the elastic run re-executed with full telemetry; the
-//      exported JSON (including the "elastic" decision log) must be
-//      byte-identical (exit 1 otherwise).
+//      exported JSON (including the elastic.* counters and decision events)
+//      must be byte-identical (exit 1 otherwise).
 //
 // Not a google-benchmark binary: the gates are correctness verdicts and
 // sim-time latencies, not ns/op.

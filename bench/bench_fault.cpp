@@ -3,9 +3,9 @@
 // contracts.
 //
 //   1. Headline: the seed-1 acceptance run, executed twice with full
-//      telemetry; asserts the "fault" section of the artifact is
-//      byte-identical across the reruns (exit 1 otherwise) and reports the
-//      failover / reconvergence latencies.  Both are sim-time quantities,
+//      telemetry; asserts the exported artifact (fault.* events included,
+//      prof excluded) is byte-identical across the reruns (exit 1
+//      otherwise) and reports the failover / reconvergence latencies.  Both are sim-time quantities,
 //      so the CI gate can bound them with machine-independent thresholds.
 //   2. Sweep: a 6-seed faulty grid through exp::Runner at 1 and 4 worker
 //      threads; asserts the aggregated artifact is byte-identical at both
@@ -93,10 +93,11 @@ int main() {
   headline_opt.recorder = &rec_b;
   (void)scenarios::RunFaultyFig3(headline_opt);
 
-  const bool fault_identical = rec_a.fault_timeline().ToJsonSection() ==
-                               rec_b.fault_timeline().ToJsonSection();
+  const telemetry::ExportOptions no_prof{.include_prof = false};
+  const bool fault_identical =
+      telemetry::ToJson(rec_a, no_prof) == telemetry::ToJson(rec_b, no_prof);
   if (!fault_identical) {
-    std::cerr << "FAIL: fault telemetry section differs between same-seed reruns\n";
+    std::cerr << "FAIL: fault-run telemetry differs between same-seed reruns\n";
   }
   std::printf(
       "seed=1  failover_latency=%lld ms  reconverge=%lld ms  failovers=%llu  "

@@ -6,7 +6,6 @@
 // throughput.
 #include <benchmark/benchmark.h>
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -239,28 +238,9 @@ void BM_TagAttachInline(benchmark::State& state) {
 }
 BENCHMARK(BM_TagAttachInline);
 
-void BM_TagAttachLegacyVector(benchmark::State& state) {
-  // The structure TagList replaced: Packet::tags was a std::vector, so the
-  // first tag on every packet (every SACK-carrying ACK, every suspicion
-  // mark) paid a heap allocation, and the second a reallocation.  Kept as
-  // the denominator of the CI ratio gate: the gate asserts the inline
-  // storage stays >= 1.5x ahead of this.
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    std::vector<sim::PacketTag> tags;
-    tags.push_back({sim::tag::kSackBitmap, v});
-    tags.push_back({sim::tag::kSuspicion, v >> 3});
-    benchmark::DoNotOptimize(tags.data());
-    ++v;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TagAttachLegacyVector);
-
 // The shape of the arrival closure Network::SendOnLink schedules per hop,
 // [this, to, link, h]: a pointer and three 32-bit ids, 24 bytes with
-// padding.  SmallCallback stores it inline; libstdc++'s std::function keeps
-// only 16 bytes locally, so it boxes this capture on the heap.
+// padding, which SmallCallback stores inline.
 auto DeliveryClosure(std::uint64_t* sink, std::uint32_t h) {
   const NodeId to = 2;
   const LinkId link = 3;
@@ -283,25 +263,6 @@ void BM_EventClosureInline(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventClosureInline);
-
-void BM_EventClosureFunction(benchmark::State& state) {
-  // The same closure routed through std::function first — the pre-refactor
-  // event representation.  The 24-byte capture exceeds std::function's
-  // local buffer, so it heap-allocates on construction and frees when the
-  // fired event is destroyed, once per hop.
-  sim::EventQueue q;
-  std::uint64_t sink = 0;
-  std::uint32_t h = 0;
-  SimTime t = 0;
-  for (auto _ : state) {
-    std::function<void()> fn = DeliveryClosure(&sink, ++h);
-    q.ScheduleAt(++t, std::move(fn));
-    q.RunAll();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EventClosureFunction);
 
 void BM_EventQueueHold(benchmark::State& state) {
   // The queue layer's cost per event at a steady pending-set size (the

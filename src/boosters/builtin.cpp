@@ -322,17 +322,17 @@ BoosterSpec FastFailoverSpec() {
 void InstallSynDetector(const DeployEnv& env, const SwitchCtx& ctx) {
   auto det = std::make_shared<SynRateDetectorPpm>(
       env.net, ctx.sw, *env.protected_dsts, *env.syn_proxy, env.EffectiveHardening(),
-      ctx.raise_alarm, env.recorder);
+      ctx.raise_alarm);
   if (ctx.pipe->Install(det)) det->StartTimers();
 }
 
 void InstallSynMitigation(const DeployEnv& env, const SwitchCtx& ctx) {
   auto proxy = std::make_shared<SynProxyPpm>(
       env.net, ctx.sw, *env.protected_dsts, *env.syn_proxy, env.EffectiveHardening(),
-      env.recorder, StructSalt(env, ctx.sw->id(), FnvHash("fastflex.syn_filter"), 0));
+      StructSalt(env, ctx.sw->id(), FnvHash("fastflex.syn_filter"), 0));
   if (ctx.pipe->Install(proxy)) proxy->StartTimers();
   auto xlate = std::make_shared<SeqTranslatePpm>(
-      env.net, ctx.sw, env.host_edge, *env.protected_dsts, *env.syn_proxy, env.recorder);
+      env.net, ctx.sw, env.host_edge, *env.protected_dsts, *env.syn_proxy);
   if (ctx.pipe->Install(xlate)) xlate->StartTimers();
 }
 

@@ -48,8 +48,7 @@ std::uint64_t SynCookie(std::uint64_t secret, Address src, Address dst,
 SynRateDetectorPpm::SynRateDetectorPpm(sim::Network* net, sim::SwitchNode* sw,
                                        std::vector<Address> protected_dsts,
                                        SynProxyConfig config,
-                                       HardeningConfig hardening, AlarmFn alarm,
-                                       telemetry::Recorder* recorder)
+                                       HardeningConfig hardening, AlarmFn alarm)
     : Ppm("syn_rate_detector",
           PpmSignature{PpmKind::kSynRateDetector,
                        {static_cast<std::uint64_t>(config.syn_rate_alarm)}},
@@ -59,8 +58,7 @@ SynRateDetectorPpm::SynRateDetectorPpm(sim::Network* net, sim::SwitchNode* sw,
       protected_dsts_(std::move(protected_dsts)),
       config_(config),
       hard_(hardening),
-      alarm_(std::move(alarm)),
-      adv_(recorder != nullptr ? &recorder->adv_stats() : nullptr) {}
+      alarm_(std::move(alarm)) {}
 
 void SynRateDetectorPpm::StartTimers() {
   std::weak_ptr<Ppm> weak = weak_from_this();
@@ -103,7 +101,6 @@ void SynRateDetectorPpm::Check() {
         if (alarm_) alarm_(dataplane::attack::kSynFlood, dataplane::mode::kSynDefense, true);
       } else {
         ++raises_suppressed_;
-        if (adv_ != nullptr) adv_->OnRaiseSuppressed(sw_->id());
       }
     } else {
       above_count_ = 0;
@@ -127,8 +124,7 @@ void SynRateDetectorPpm::Check() {
 
 SynProxyPpm::SynProxyPpm(sim::Network* net, sim::SwitchNode* sw,
                          std::vector<Address> protected_dsts, SynProxyConfig config,
-                         HardeningConfig hardening, telemetry::Recorder* recorder,
-                         std::uint64_t filter_salt)
+                         HardeningConfig hardening, std::uint64_t filter_salt)
     : Ppm("syn_proxy",
           PpmSignature{PpmKind::kSynProxy,
                        {std::bit_ceil(config.filter_buckets), config.filter_fp_bits}},
@@ -146,8 +142,6 @@ SynProxyPpm::SynProxyPpm(sim::Network* net, sim::SwitchNode* sw,
       protected_dsts_(std::move(protected_dsts)),
       config_(config),
       hard_(hardening),
-      stats_(recorder != nullptr ? &recorder->syn_stats() : nullptr),
-      adv_(recorder != nullptr ? &recorder->adv_stats() : nullptr),
       filter_(config.filter_buckets, config.filter_fp_bits, config.filter_max_kicks,
               filter_salt != 0 ? filter_salt : dataplane::CuckooFilter::kDefaultSeed) {}
 
@@ -194,7 +188,7 @@ void SynProxyPpm::Process(sim::PacketContext& ctx) {
       const std::uint64_t key = ReverseFlowKey(pkt);
       if (filter_.Delete(key)) {
         last_seen_.erase(key);
-        if (stats_ != nullptr) stats_->OnFilterDelete(sw_->id());
+        ++filter_deletes_;
       }
     }
     return;
@@ -209,16 +203,15 @@ void SynProxyPpm::Process(sim::PacketContext& ctx) {
         // connection and let it continue toward the server.
         if (filter_.Insert(key)) {
           last_seen_[key] = ctx.now;
-          if (stats_ != nullptr) stats_->OnFilterInsert(sw_->id());
-        } else if (stats_ != nullptr) {
-          stats_->OnFilterInsertFailure(sw_->id());
+          ++filter_inserts_;
+        } else {
+          ++filter_insert_failures_;
         }
         return;
       }
       // Raw SYN: answer statelessly with a cookie ISN and absorb it.  A
       // spoofed source never returns the cookie, so the flood costs this
       // switch zero state and the server nothing at all.
-      if (stats_ != nullptr) stats_->OnSyn(sw_->id());
       sim::Packet synack;
       synack.kind = PacketKind::kSynAck;
       synack.flow = pkt.flow;
@@ -232,7 +225,6 @@ void SynProxyPpm::Process(sim::PacketContext& ctx) {
       ctx.emit.push_back({std::move(synack), kInvalidNode});
       ctx.consume = true;
       ++cookies_sent_;
-      if (stats_ != nullptr) stats_->OnCookieSent(sw_->id());
       return;
     }
     case PacketKind::kAck: {
@@ -250,34 +242,27 @@ void SynProxyPpm::Process(sim::PacketContext& ctx) {
           ++admissions_policed_;
           ++policed_drops_;
           ctx.drop = true;
-          if (stats_ != nullptr) stats_->OnPolicedDrop(sw_->id());
-          if (adv_ != nullptr) adv_->OnAdmissionPoliced(sw_->id());
           return;
         }
         // The client proved it owns its source address.  Rewrite the ACK in
         // place into the SYN the server never saw, tagged so downstream
         // proxies adopt it and the server's edge learns the cookie.
         ++handshakes_validated_;
-        if (stats_ != nullptr) stats_->OnHandshakeValidated(sw_->id());
         pkt.SetTag(sim::tag::kSynProxied, 1);
         pkt.SetTag(sim::tag::kSynCookie, pkt.ack);
         pkt.kind = PacketKind::kSyn;  // seq already carries the client ISN
         pkt.ack = 0;
         if (filter_.Insert(key)) {
           last_seen_[key] = ctx.now;
-          if (stats_ != nullptr) stats_->OnFilterInsert(sw_->id());
-        } else if (stats_ != nullptr) {
-          stats_->OnFilterInsertFailure(sw_->id());
+          ++filter_inserts_;
+        } else {
+          ++filter_insert_failures_;
         }
         return;
       }
       ++invalid_cookies_;
       ++policed_drops_;
       ctx.drop = true;
-      if (stats_ != nullptr) {
-        stats_->OnInvalidCookie(sw_->id());
-        stats_->OnPolicedDrop(sw_->id());
-      }
       return;
     }
     case PacketKind::kData:
@@ -290,14 +275,13 @@ void SynProxyPpm::Process(sim::PacketContext& ctx) {
         } else {
           // Teardown: forget the flow but forward the segment, so the
           // server (and every downstream tracker) tears down too.
-          if (filter_.Delete(key) && stats_ != nullptr) stats_->OnFilterDelete(sw_->id());
+          if (filter_.Delete(key)) ++filter_deletes_;
           last_seen_.erase(key);
         }
         return;
       }
       ++policed_drops_;
       ctx.drop = true;
-      if (stats_ != nullptr) stats_->OnPolicedDrop(sw_->id());
       return;
     }
     default:
@@ -323,10 +307,7 @@ void SynProxyPpm::SweepIdle() {
   const SimTime now = net_->Now();
   for (auto it = last_seen_.begin(); it != last_seen_.end();) {
     if (now - it->second >= config_.idle_timeout) {
-      if (filter_.Delete(it->first)) {
-        ++idle_evictions_;
-        if (stats_ != nullptr) stats_->OnIdleEviction(sw_->id());
-      }
+      if (filter_.Delete(it->first)) ++idle_evictions_;
       it = last_seen_.erase(it);
     } else {
       ++it;
@@ -352,16 +333,14 @@ void SynProxyPpm::SweepIdle() {
 SeqTranslatePpm::SeqTranslatePpm(
     sim::Network* net, sim::SwitchNode* sw,
     std::shared_ptr<const std::unordered_map<Address, NodeId>> host_edge,
-    std::vector<Address> protected_dsts, SynProxyConfig config,
-    telemetry::Recorder* recorder)
+    std::vector<Address> protected_dsts, SynProxyConfig config)
     : Ppm("seq_translate", PpmSignature{PpmKind::kSeqTranslate, {1}},
           ResourceVector{1.5, 0.5, 0.0, 4.0}, dataplane::mode::kAlwaysOn),
       net_(net),
       sw_(sw),
       host_edge_(std::move(host_edge)),
       protected_dsts_(std::move(protected_dsts)),
-      config_(config),
-      stats_(recorder != nullptr ? &recorder->syn_stats() : nullptr) {}
+      config_(config) {}
 
 void SeqTranslatePpm::StartTimers() {
   std::weak_ptr<Ppm> weak = weak_from_this();
@@ -398,7 +377,6 @@ void SeqTranslatePpm::Process(sim::PacketContext& ctx) {
       const std::uint64_t delta = it->second.cookie - pkt.seq;
       established_[key] = Established{delta, ctx.now};
       ++translations_established_;
-      if (stats_ != nullptr) stats_->OnTranslationEstablished(sw_->id());
       sim::Packet ack;
       ack.kind = PacketKind::kAck;
       ack.flow = pkt.flow;
@@ -421,7 +399,6 @@ void SeqTranslatePpm::Process(sim::PacketContext& ctx) {
       pkt.seq += it->second.delta;
       it->second.last_seen = ctx.now;
       ++seq_translated_;
-      if (stats_ != nullptr) stats_->OnSeqTranslated(sw_->id());
       if (pkt.kind == PacketKind::kRst) established_.erase(it);
     }
     return;
@@ -444,7 +421,6 @@ void SeqTranslatePpm::Process(sim::PacketContext& ctx) {
       pkt.ack -= it->second.delta;
       it->second.last_seen = ctx.now;
       ++seq_translated_;
-      if (stats_ != nullptr) stats_->OnSeqTranslated(sw_->id());
       return;
     }
     case PacketKind::kRst: {

@@ -48,7 +48,6 @@
 #include "dataplane/ppm.h"
 #include "sim/network.h"
 #include "sim/switch_node.h"
-#include "telemetry/telemetry.h"
 #include "util/types.h"
 
 namespace fastflex::boosters {
@@ -65,14 +64,9 @@ std::uint64_t SynCookie(std::uint64_t secret, Address src, Address dst,
 /// Always-on SYN-rate alarm source for the split proxy.
 class SynRateDetectorPpm : public dataplane::Ppm {
  public:
-  /// `recorder` (optional) receives AdvStats evidence when raise
-  /// persistence suppresses a single-window spike — the counter
-  /// bench_adversarial reads to show the threshold-straddling pulser was
-  /// absorbed by hysteresis rather than never seen.
   SynRateDetectorPpm(sim::Network* net, sim::SwitchNode* sw,
                      std::vector<Address> protected_dsts, SynProxyConfig config,
-                     HardeningConfig hardening, AlarmFn alarm,
-                     telemetry::Recorder* recorder = nullptr);
+                     HardeningConfig hardening, AlarmFn alarm);
 
   void StartTimers();
   void Process(sim::PacketContext& ctx) override;
@@ -80,7 +74,9 @@ class SynRateDetectorPpm : public dataplane::Ppm {
   bool alarm_active() const { return alarm_active_; }
   double last_rate() const { return last_rate_; }
   /// Raises deferred by the persistence requirement
-  /// (HardeningConfig::persist_checks).
+  /// (HardeningConfig::persist_checks) — the counter bench_adversarial
+  /// reads to show the threshold-straddling pulser was absorbed by
+  /// hysteresis rather than never seen.
   std::uint64_t raises_suppressed() const { return raises_suppressed_; }
 
   void Reset() override {
@@ -99,7 +95,6 @@ class SynRateDetectorPpm : public dataplane::Ppm {
   SynProxyConfig config_;
   HardeningConfig hard_;
   AlarmFn alarm_;
-  telemetry::AdvStats* adv_ = nullptr;
 
   std::uint64_t window_syns_ = 0;
   double last_rate_ = 0.0;
@@ -117,8 +112,7 @@ class SynProxyPpm : public dataplane::Ppm {
   /// attacker cannot pre-compute keys that pile into chosen buckets.
   SynProxyPpm(sim::Network* net, sim::SwitchNode* sw,
               std::vector<Address> protected_dsts, SynProxyConfig config,
-              HardeningConfig hardening, telemetry::Recorder* recorder = nullptr,
-              std::uint64_t filter_salt = 0);
+              HardeningConfig hardening, std::uint64_t filter_salt = 0);
 
   void StartTimers();
   void Process(sim::PacketContext& ctx) override;
@@ -135,6 +129,13 @@ class SynProxyPpm : public dataplane::Ppm {
   /// Valid-cookie ACKs refused by the per-source admission policer (the
   /// self-minted-cookie defense; see HardeningConfig::admit_rate_per_s).
   std::uint64_t admissions_policed() const { return admissions_policed_; }
+  /// Validated flows this proxy inserted into its filter, inserts the
+  /// filter refused (cuckoo table pressure), and FIN/RST teardowns it
+  /// deleted.  Unlike the filter's own counters, these survive a crash
+  /// wipe, and deletes exclude idle evictions.
+  std::uint64_t filter_inserts() const { return filter_inserts_; }
+  std::uint64_t filter_insert_failures() const { return filter_insert_failures_; }
+  std::uint64_t filter_deletes() const { return filter_deletes_; }
 
   std::vector<std::uint64_t> ExportState() const override {
     return filter_.ExportWords();
@@ -165,8 +166,6 @@ class SynProxyPpm : public dataplane::Ppm {
   std::vector<Address> protected_dsts_;
   SynProxyConfig config_;
   HardeningConfig hard_;
-  telemetry::SynStats* stats_ = nullptr;
-  telemetry::AdvStats* adv_ = nullptr;
 
   dataplane::CuckooFilter filter_;
   // Last-seen times for tracked flows, keyed by the forward FlowKey.  An
@@ -183,6 +182,9 @@ class SynProxyPpm : public dataplane::Ppm {
   std::uint64_t policed_drops_ = 0;
   std::uint64_t idle_evictions_ = 0;
   std::uint64_t admissions_policed_ = 0;
+  std::uint64_t filter_inserts_ = 0;
+  std::uint64_t filter_insert_failures_ = 0;
+  std::uint64_t filter_deletes_ = 0;
 };
 
 /// The server half: sequence translation at the protected host's own edge.
@@ -190,8 +192,7 @@ class SeqTranslatePpm : public dataplane::Ppm {
  public:
   SeqTranslatePpm(sim::Network* net, sim::SwitchNode* sw,
                   std::shared_ptr<const std::unordered_map<Address, NodeId>> host_edge,
-                  std::vector<Address> protected_dsts, SynProxyConfig config,
-                  telemetry::Recorder* recorder = nullptr);
+                  std::vector<Address> protected_dsts, SynProxyConfig config);
 
   void StartTimers();
   void Process(sim::PacketContext& ctx) override;
@@ -225,7 +226,6 @@ class SeqTranslatePpm : public dataplane::Ppm {
   std::shared_ptr<const std::unordered_map<Address, NodeId>> host_edge_;
   std::vector<Address> protected_dsts_;
   SynProxyConfig config_;
-  telemetry::SynStats* stats_ = nullptr;
 
   // Both tables are keyed by the forward (client -> server) FlowKey and
   // ordered for replay-deterministic sweeps.

@@ -49,8 +49,7 @@ void ElasticOrchestrator::Start() {
 
 void ElasticOrchestrator::Tick() {
   if (!running_) return;
-  ++epochs_;
-  if (auto* s = stats()) s->OnEpoch();
+  ++totals_.epochs;
   AuditBudgets();
 
   bool mix_changed = false;
@@ -91,7 +90,7 @@ void ElasticOrchestrator::AuditBudgets() {
   for (NodeId sw : switches_) {
     const dataplane::Pipeline* p = orch_->pipeline(sw);
     if (p != nullptr && !p->used().FitsIn(p->capacity())) {
-      if (auto* s = stats()) s->OnOverBudget();
+      ++totals_.over_budget;
       FF_LOG(kError) << "elastic: switch " << sw << " over budget (used "
                      << p->used().ToString() << ", capacity "
                      << p->capacity().ToString() << ")";
@@ -124,13 +123,14 @@ void ElasticOrchestrator::ScaleUp(const ElasticRule& rule, std::uint32_t region)
         if (orch_->BoosterInstalled(sw, b)) continue;
         if (InstallWithShedding(sw, b, *rp)) {
           loop_installed_[sw].insert(b);
-          if (auto* s = stats()) s->OnScaleUp(net_->Now(), sw, b);
+          ++totals_.scale_ups;
+          Record("scale_up", sw, b);
         }
       }
     };
     plan.done = [this, sw](const runtime::RepurposeReport&) {
       inflight_.erase(sw);
-      if (auto* s = stats()) s->OnRepurpose();
+      ++totals_.repurposes;
     };
     orch_->scaling().Repurpose(std::move(plan));
   }
@@ -159,14 +159,15 @@ bool ElasticOrchestrator::TearDown(const ElasticRule& rule, std::uint32_t region
     plan.reprogram = [this, sw, present] {
       for (const auto& b : present) {
         if (orch_->UninstallBooster(sw, b)) {
-          if (auto* s = stats()) s->OnTeardown(net_->Now(), sw, b);
+          ++totals_.teardowns;
+          Record("teardown", sw, b);
         }
         loop_installed_[sw].erase(b);
       }
     };
     plan.done = [this, sw](const runtime::RepurposeReport&) {
       inflight_.erase(sw);
-      if (auto* s = stats()) s->OnRepurpose();
+      ++totals_.repurposes;
     };
     orch_->scaling().Repurpose(std::move(plan));
   }
@@ -196,13 +197,15 @@ bool ElasticOrchestrator::InstallWithShedding(NodeId sw, const std::string& boos
       victim_value = def->value;
     }
     if (victim.empty()) {
-      if (auto* s = stats()) s->OnInstallReject(net_->Now(), sw, booster);
+      ++totals_.install_rejects;
+      Record("reject", sw, booster);
       rejected_[sw].insert(booster);
       return false;
     }
     orch_->UninstallBooster(sw, victim);
     loop_installed_[sw].erase(victim);
-    if (auto* s = stats()) s->OnShed(net_->Now(), sw, victim);
+    ++totals_.sheds;
+    Record("shed", sw, victim);
     if (orch_->InstallBooster(sw, booster)) return true;
   }
 }
@@ -227,7 +230,26 @@ void ElasticOrchestrator::Replan() {
       merged, policy_.placement.switch_capacity - policy_.placement.routing_reserve);
   replan_ = scheduler::PlaceClusters(net_->topology(), clusters,
                                      orch_->te_solution().paths, policy_.placement);
-  if (auto* s = stats()) s->OnReplan();
+  ++totals_.replans;
+}
+
+void ElasticOrchestrator::Record(const char* action, NodeId sw,
+                                 const std::string& booster) {
+  if (recorder_ == nullptr) return;
+  recorder_->trace().Event(net_->Now(), telemetry::Join("elastic", action, booster),
+                           {{"sw", sw}});
+}
+
+void ElasticOrchestrator::CollectTelemetry(telemetry::Recorder& recorder) const {
+  auto& m = recorder.metrics();
+  m.GetCounter("elastic.epochs").Set(totals_.epochs);
+  m.GetCounter("elastic.replans").Set(totals_.replans);
+  m.GetCounter("elastic.scale_ups").Set(totals_.scale_ups);
+  m.GetCounter("elastic.sheds").Set(totals_.sheds);
+  m.GetCounter("elastic.teardowns").Set(totals_.teardowns);
+  m.GetCounter("elastic.repurposes").Set(totals_.repurposes);
+  m.GetCounter("elastic.install_rejects").Set(totals_.install_rejects);
+  m.GetCounter("elastic.over_budget").Set(totals_.over_budget);
 }
 
 bool ElasticOrchestrator::RegionScaledUp(std::size_t rule_idx,

@@ -82,7 +82,8 @@ struct ElasticPolicy {
 class ElasticOrchestrator {
  public:
   /// `orch` must be Deploy()ed already and outlive this object; `recorder`
-  /// (nullable) receives the ElasticStats decision log.
+  /// (nullable) receives the decision log as elastic.<action>.<booster>
+  /// trace events (action: scale_up, shed, teardown, reject; field sw).
   ElasticOrchestrator(sim::Network* net, FastFlexOrchestrator* orch,
                       ElasticPolicy policy, telemetry::Recorder* recorder = nullptr);
 
@@ -90,8 +91,22 @@ class ElasticOrchestrator {
   void Start();
   void Stop() { running_ = false; }
 
+  struct Totals {
+    std::uint64_t epochs = 0;           // control-loop ticks executed
+    std::uint64_t replans = 0;          // placement re-solves (mix changed)
+    std::uint64_t scale_ups = 0;        // booster installs committed
+    std::uint64_t sheds = 0;            // boosters evicted for capacity
+    std::uint64_t teardowns = 0;        // boosters retired after quiet epochs
+    std::uint64_t repurposes = 0;       // ScalingManager sequences completed
+    std::uint64_t install_rejects = 0;  // installs refused even after shedding
+    std::uint64_t over_budget = 0;      // switch-epochs observed over capacity
+  };
+
+  /// Writes totals() into `recorder` as the "elastic.*" counters.
+  void CollectTelemetry(telemetry::Recorder& recorder) const;
+
   // ---- Introspection (tests / benches) ----
-  std::uint64_t epochs() const { return epochs_; }
+  const Totals& totals() const { return totals_; }
   /// Boosters this loop installed and has not yet torn down, per switch.
   const std::map<NodeId, std::set<std::string>>& loop_installed() const {
     return loop_installed_;
@@ -116,10 +131,8 @@ class ElasticOrchestrator {
   bool InstallWithShedding(NodeId sw, const std::string& booster,
                            const ElasticRule& rule);
   void Replan();
-
-  telemetry::ElasticStats* stats() {
-    return recorder_ != nullptr ? &recorder_->elastic_stats() : nullptr;
-  }
+  /// Logs one decision as an elastic.<action>.<booster> trace event.
+  void Record(const char* action, NodeId sw, const std::string& booster);
 
   sim::Network* net_;
   FastFlexOrchestrator* orch_;
@@ -127,7 +140,7 @@ class ElasticOrchestrator {
   telemetry::Recorder* recorder_;
 
   bool running_ = false;
-  std::uint64_t epochs_ = 0;
+  Totals totals_;
   std::vector<NodeId> switches_;        // topology order (== sorted)
   std::vector<std::uint32_t> regions_;  // sorted distinct switch regions
   // rule index → region → state; std::map for deterministic iteration.

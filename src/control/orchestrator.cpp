@@ -9,6 +9,37 @@
 
 namespace fastflex::control {
 
+namespace {
+
+// Adds the counters `module` keeps on switch `sw` to `into`, keyed
+// "switch.<sw>.<module>.<counter>".  The SYN-defense modules and the mode
+// agent's flood authenticator keep per-switch counters; other modules add
+// nothing.
+void AddModuleCounters(NodeId sw, const dataplane::Ppm& module,
+                       std::map<std::string, std::uint64_t>& into) {
+  const std::string p = telemetry::Join("switch", sw, module.name()) + ".";
+  if (const auto* det = dynamic_cast<const boosters::SynRateDetectorPpm*>(&module)) {
+    into[p + "raises_suppressed"] += det->raises_suppressed();
+  } else if (const auto* proxy = dynamic_cast<const boosters::SynProxyPpm*>(&module)) {
+    into[p + "cookies_sent"] += proxy->cookies_sent();
+    into[p + "handshakes_validated"] += proxy->handshakes_validated();
+    into[p + "invalid_cookies"] += proxy->invalid_cookies();
+    into[p + "filter_inserts"] += proxy->filter_inserts();
+    into[p + "filter_insert_failures"] += proxy->filter_insert_failures();
+    into[p + "filter_deletes"] += proxy->filter_deletes();
+    into[p + "idle_evictions"] += proxy->idle_evictions();
+    into[p + "policed_drops"] += proxy->policed_drops();
+    into[p + "admissions_policed"] += proxy->admissions_policed();
+  } else if (const auto* xlate = dynamic_cast<const boosters::SeqTranslatePpm*>(&module)) {
+    into[p + "translations_established"] += xlate->translations_established();
+    into[p + "seq_translated"] += xlate->seq_translated();
+  } else if (const auto* agent = dynamic_cast<const runtime::ModeProtocolPpm*>(&module)) {
+    into[p + "auth_rejects"] += agent->auth_rejects();
+  }
+}
+
+}  // namespace
+
 FastFlexOrchestrator::FastFlexOrchestrator(sim::Network* net, OrchestratorConfig config)
     : net_(net), config_(std::move(config)) {}
 
@@ -218,7 +249,12 @@ bool FastFlexOrchestrator::UninstallBooster(NodeId sw, const std::string& booste
   auto it = pipelines_.find(sw);
   if (def == nullptr || it == pipelines_.end()) return false;
   bool removed = false;
-  for (const auto& m : def->modules) removed |= it->second->Uninstall(m);
+  for (const auto& m : def->modules) {
+    if (const dataplane::Ppm* module = it->second->Find(m)) {
+      AddModuleCounters(sw, *module, retired_counters_);
+    }
+    removed |= it->second->Uninstall(m);
+  }
   return removed;
 }
 
@@ -293,18 +329,23 @@ dataplane::FastFailoverPpm* FastFlexOrchestrator::fast_failover(NodeId sw) const
 }
 
 void FastFlexOrchestrator::CollectTelemetry(telemetry::Recorder& recorder) const {
+  auto& m = recorder.metrics();
+  std::map<std::string, std::uint64_t> module_counters = retired_counters_;
   for (const auto& [sw_id, pipe] : pipelines_) {
     pipe->CollectTelemetry(recorder, telemetry::Join("switch", sw_id, "pipeline"));
+    for (const auto& module : pipe->modules()) {
+      AddModuleCounters(sw_id, *module, module_counters);
+    }
     // Connection-tracking filter occupancy, previously visible only inside
     // the proxy: a load factor creeping toward the kick-failure knee is the
     // first sign an ACK flood is filling the table.  Keyed per switch and
     // emitted only where a proxy runs, so non-SYN runs keep their key set.
     if (const auto* sp = syn_proxy(sw_id)) {
-      recorder.metrics()
-          .GetGauge(telemetry::Join("switch", sw_id, "syn_proxy.filter_load"))
+      m.GetGauge(telemetry::Join("switch", sw_id, "syn_proxy.filter_load"))
           .Set(sp->filter().LoadFactor());
     }
   }
+  for (const auto& [name, value] : module_counters) m.GetCounter(name).Set(value);
   std::uint64_t alarms = 0, probes = 0, applications = 0;
   std::uint64_t retries = 0, resyncs = 0, auth_rejects = 0;
   for (const auto& [sw_id, agent] : agents_) {
@@ -315,7 +356,6 @@ void FastFlexOrchestrator::CollectTelemetry(telemetry::Recorder& recorder) const
     resyncs += agent->resyncs();
     auth_rejects += agent->auth_rejects();
   }
-  auto& m = recorder.metrics();
   m.GetCounter("mode_protocol.alarms_raised").Set(alarms);
   m.GetCounter("mode_protocol.probes_forwarded").Set(probes);
   m.GetCounter("mode_protocol.mode_applications").Set(applications);

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -153,13 +154,18 @@ class FastFlexOrchestrator {
   // present afterwards (including when they already were).
   bool InstallBooster(NodeId sw, const std::string& booster);
   /// Removes the booster's exclusive modules (shared components stay, they
-  /// are refcounted).  True if anything was actually removed.
+  /// are refcounted).  True if anything was actually removed.  The removed
+  /// modules' counters are kept for CollectTelemetry.
   bool UninstallBooster(NodeId sw, const std::string& booster);
   /// True when every exclusive module of `booster` is present on `sw`.
   bool BoosterInstalled(NodeId sw, const std::string& booster) const;
 
   /// Snapshots every switch pipeline (module hit counts, occupancy vs
-  /// budget, mode words) into `recorder` under "switch.<id>.pipeline".
+  /// budget, mode words) into `recorder` under "switch.<id>.pipeline", the
+  /// counters of the SYN-defense modules and each mode agent's
+  /// auth_rejects under "switch.<id>.<module>.<counter>" (whole-run totals,
+  /// modules UninstallBooster removed included), and the agents' sums
+  /// under "mode_protocol.*".
   void CollectTelemetry(telemetry::Recorder& recorder) const;
 
   // ---- Offline-analysis results ----
@@ -192,6 +198,9 @@ class FastFlexOrchestrator {
   std::unordered_map<NodeId, std::unique_ptr<dataplane::Pipeline>> pipelines_;
   std::unordered_map<NodeId, std::shared_ptr<runtime::ModeProtocolPpm>> agents_;
   std::unordered_map<NodeId, std::shared_ptr<runtime::StateCollectorPpm>> collectors_;
+  // Counters of modules UninstallBooster removed, keyed like
+  // CollectTelemetry's per-switch module counters.
+  std::map<std::string, std::uint64_t> retired_counters_;
 
   analyzer::MergedGraph merged_;
   analyzer::MergeSavings savings_;

@@ -50,8 +50,8 @@ void FastFailoverPpm::Process(sim::PacketContext& ctx) {
     // Primary usable again: close any open detour episode on this egress.
     if (!failed_over_.empty() && failed_over_.erase(egress) > 0 &&
         telem_ != nullptr) {
-      telem_->fault_timeline().Record(ctx.now, telemetry::FaultRecordKind::kFailback,
-                                      sw_->id(), egress);
+      telem_->trace().Event(ctx.now, "fault.failback",
+                            {{"node", sw_->id()}, {"link", egress}});
     }
     return;
   }
@@ -69,8 +69,8 @@ void FastFailoverPpm::Process(sim::PacketContext& ctx) {
       ++failovers_;
       if (!bounce && egress != kInvalidLink && failed_over_.insert(egress).second &&
           telem_ != nullptr) {
-        telem_->fault_timeline().Record(ctx.now, telemetry::FaultRecordKind::kFailover,
-                                        sw_->id(), egress, c);
+        telem_->trace().Event(ctx.now, "fault.failover",
+                              {{"node", sw_->id()}, {"link", egress}, {"aux", c}});
       }
       return;
     }

@@ -42,7 +42,8 @@ class FastFailoverPpm : public Ppm {
   void Reset() override { failed_over_.clear(); }
 
   /// First failover / failback per dead-link episode lands in the
-  /// recorder's fault timeline.  One branch per event when detached.
+  /// recorder's trace as a fault.failover / fault.failback event.  One
+  /// branch per event when detached.
   void SetTelemetry(telemetry::Recorder* recorder) { telem_ = recorder; }
 
   std::uint64_t failovers() const { return failovers_; }

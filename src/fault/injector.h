@@ -2,9 +2,9 @@
 //
 // Arm() schedules every planned fault at its time, plus the paired repair
 // (link restored, switch rebooted, channel cleaned) when the event carries
-// a duration.  Every transition lands in the recorder's fault timeline, so
-// the `fault` telemetry section is the ground truth an experiment's
-// failover/reconvergence measurements are checked against.
+// a duration.  Every transition lands in the recorder's trace as a `fault.*`
+// event, the ground truth an experiment's failover/reconvergence
+// measurements are checked against.
 //
 // Crash semantics split across two layers on reboot: the injector flips
 // the switch back online (physics), then invokes the reboot handler —
@@ -34,8 +34,8 @@ class FaultInjector {
   /// Called after a crashed switch comes back online (see header comment).
   void set_reboot_handler(RebootHandler handler) { reboot_ = std::move(handler); }
 
-  /// Fault and repair transitions are recorded into `recorder`'s fault
-  /// timeline.  Nullptr: injection still happens, silently.
+  /// Fault and repair transitions are recorded into `recorder`'s trace.
+  /// Nullptr: injection still happens, silently.
   void set_telemetry(telemetry::Recorder* recorder) { telem_ = recorder; }
 
   /// Schedules the whole plan onto the network's event queue.  Call once,
@@ -49,8 +49,11 @@ class FaultInjector {
  private:
   void Inject(const FaultEvent& e);
   void Repair(const FaultEvent& e);
-  void Record(telemetry::FaultRecordKind kind, std::int64_t node, std::int64_t link,
-              std::int64_t aux);
+  /// Records one transition as a `fault.*` trace event plus its
+  /// flight-recorder mirror (a = node, b = link, c = code).
+  void Record(std::string event, telemetry::Tracer::Fields fields,
+              telemetry::FlightKind flight, std::int64_t node, std::int64_t link = -1,
+              std::int64_t code = -1);
   /// Applies `fn(link)` to the event's link, and its reverse when duplex.
   void ForEachDirection(const FaultEvent& e, const std::function<void(LinkId)>& fn);
 

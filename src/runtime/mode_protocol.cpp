@@ -168,9 +168,8 @@ void ModeProtocolPpm::ScheduleRetry(const sim::ProbePayload& payload, int attemp
     if (me->next_epoch_ != payload.epoch + 1) return;
     ++me->flood_retries_;
     if (me->telem_ != nullptr) {
-      me->telem_->fault_timeline().Record(me->net_->Now(),
-                                          telemetry::FaultRecordKind::kFloodRetry,
-                                          me->sw_->id(), -1, attempt);
+      me->telem_->trace().Event(me->net_->Now(), "fault.flood_retry",
+                                {{"node", me->sw_->id()}, {"aux", attempt}});
     }
     me->Flood(payload, kInvalidLink);
     if (attempt < me->config_.flood_retries) me->ScheduleRetry(payload, attempt + 1);
@@ -180,8 +179,7 @@ void ModeProtocolPpm::ScheduleRetry(const sim::ProbePayload& payload, int attemp
 void ModeProtocolPpm::RequestSync() {
   ++resyncs_;
   if (telem_ != nullptr) {
-    telem_->fault_timeline().Record(net_->Now(), telemetry::FaultRecordKind::kResync,
-                                    sw_->id(), -1, 0);
+    telem_->trace().Event(net_->Now(), "fault.resync", {{"node", sw_->id()}, {"aux", 0}});
   }
   sim::ProbePayload p;
   p.type = sim::ProbeType::kModeSyncRequest;
@@ -238,8 +236,7 @@ void ModeProtocolPpm::AnswerSyncRequest(const sim::ProbePayload& request,
     ctx.emit.push_back(sim::Emission{MakeProbePacket(r), request.origin});
   }
   if (telem_ != nullptr) {
-    telem_->fault_timeline().Record(net_->Now(), telemetry::FaultRecordKind::kResync,
-                                    sw_->id(), -1, 1);
+    telem_->trace().Event(net_->Now(), "fault.resync", {{"node", sw_->id()}, {"aux", 1}});
   }
 }
 
@@ -288,7 +285,6 @@ void ModeProtocolPpm::Process(sim::PacketContext& ctx) {
     ctx.consume = true;
     ++auth_rejects_;
     if (telem_ != nullptr) {
-      telem_->adv_stats().OnModeAuthReject(sw_->id());
       telem_->flight().Record(net_->Now(), telemetry::FlightKind::kAuthReject, sw_->id(),
                               p.origin, static_cast<std::int64_t>(p.epoch));
     }

@@ -2,13 +2,27 @@
 
 #include <functional>
 #include <memory>
+#include <string_view>
 
 #include "scenarios/builder.h"
 
 namespace fastflex::scenarios {
 
+namespace {
+
+// Time of the first `name` event (at `node` when given), or 0 when none.
+SimTime FirstAt(const telemetry::Tracer& trace, std::string_view name,
+                std::int64_t node = -1) {
+  for (const telemetry::TraceEvent* e : trace.EventsNamed(name)) {
+    if (node < 0 || e->Field("node") == node) return e->t;
+  }
+  return 0;
+}
+
+}  // namespace
+
 FaultyFig3Result RunFaultyFig3(const FaultyFig3Options& options) {
-  // The fault timeline is the measurement instrument here, so a run without
+  // The fault records are the measurement instrument here, so a run without
   // a caller-provided recorder still records into a local one.  Attaching a
   // recorder never changes simulation physics, only what gets written down.
   telemetry::Recorder local;
@@ -39,7 +53,7 @@ FaultyFig3Result RunFaultyFig3(const FaultyFig3Options& options) {
   // Reconvergence probe: from the moment M2 is back online, poll its
   // pipeline every millisecond until the LFA-reroute mode bit is active
   // again (re-learned from neighbors via the sync exchange), then stamp a
-  // kReconverged record.  Polling grain = measurement resolution (1 ms).
+  // fault.reconverged record.  Polling grain = measurement resolution (1 ms).
   const SimTime reboot_at = options.crash_at + options.reboot_after;
   const NodeId m2 = s.h.m2;
   {
@@ -50,8 +64,8 @@ FaultyFig3Result RunFaultyFig3(const FaultyFig3Options& options) {
     *poll = [net, orch, m2, reboot_at, rec, weak] {
       dataplane::Pipeline* pipe = orch->pipeline(m2);
       if (pipe != nullptr && pipe->ModeActive(dataplane::mode::kLfaReroute)) {
-        rec->fault_timeline().Record(net->Now(), telemetry::FaultRecordKind::kReconverged,
-                                     m2, -1, (net->Now() - reboot_at) / kMillisecond);
+        rec->trace().Event(net->Now(), "fault.reconverged",
+                           {{"node", m2}, {"aux", (net->Now() - reboot_at) / kMillisecond}});
         return;
       }
       if (auto self = weak.lock()) {
@@ -69,15 +83,15 @@ FaultyFig3Result RunFaultyFig3(const FaultyFig3Options& options) {
   FaultyFig3Result result;
   result.fig3 = SummarizeFig3Run(s, options.duration, options.attack_at, options.recorder);
 
-  const telemetry::FaultTimeline& tl = rec->fault_timeline();
-  result.fault_records = tl.size();
-  result.link_down_at = tl.FirstOf(telemetry::FaultRecordKind::kLinkDown);
-  result.first_failover_at = tl.FirstOf(telemetry::FaultRecordKind::kFailover);
+  const telemetry::Tracer& trace = rec->trace();
+  result.fault_records = trace.EventsWithPrefix("fault.").size();
+  result.link_down_at = FirstAt(trace, "fault.link_down");
+  result.first_failover_at = FirstAt(trace, "fault.failover");
   if (result.first_failover_at > 0 && result.link_down_at > 0) {
     result.failover_latency = result.first_failover_at - result.link_down_at;
   }
-  result.reboot_at = tl.FirstOf(telemetry::FaultRecordKind::kSwitchReboot, m2);
-  result.reconverged_at = tl.FirstOf(telemetry::FaultRecordKind::kReconverged, m2);
+  result.reboot_at = FirstAt(trace, "fault.switch_reboot", m2);
+  result.reconverged_at = FirstAt(trace, "fault.reconverged", m2);
   if (result.reconverged_at > 0 && result.reboot_at > 0) {
     result.reconverge_latency = result.reconverged_at - result.reboot_at;
   }

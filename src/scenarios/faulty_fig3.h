@@ -40,9 +40,9 @@ struct FaultyFig3Options {
   int shards = 0;
 
   /// When set, the run is fully instrumented; the artifact additionally
-  /// carries the "fault" timeline section and "faulty_fig3.*" gauges.
-  /// When null, an internal recorder still drives the fault timeline (the
-  /// latency results below are computed from it) but nothing is exported.
+  /// carries the "fault.*" trace events and "faulty_fig3.*" gauges.  When
+  /// null, an internal recorder still takes the fault events (the latency
+  /// results below are computed from them) but nothing is exported.
   telemetry::Recorder* recorder = nullptr;
 };
 
@@ -50,7 +50,7 @@ struct FaultyFig3Result {
   Fig3Result fig3;  // the shared goodput/alarm summary (SummarizeFig3Run)
 
   SimTime link_down_at = 0;
-  SimTime first_failover_at = 0;   // first kFailover record (0 = never)
+  SimTime first_failover_at = 0;   // first fault.failover event (0 = never)
   SimTime failover_latency = 0;    // first_failover_at - link_down_at
   SimTime reboot_at = 0;
   SimTime reconverged_at = 0;      // rebooted switch holds kLfaReroute again
@@ -60,7 +60,7 @@ struct FaultyFig3Result {
   std::uint64_t no_backup = 0;      // dead egress without a live candidate
   std::uint64_t flood_retries = 0;  // mode-flood hardening re-sends
   std::uint64_t resyncs = 0;        // sync requests (1 per reboot here)
-  std::uint64_t fault_records = 0;  // total fault-timeline records
+  std::uint64_t fault_records = 0;  // total fault.* trace events
 };
 
 FaultyFig3Result RunFaultyFig3(const FaultyFig3Options& options);

@@ -106,9 +106,18 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
   }
   const NodeId victim = server[static_cast<std::size_t>(syn_region)];
 
+  // A local recorder keeps the elastic decision log even when the caller
+  // did not instrument the run; the artifact-bound recorder wins when
+  // present.  The network carries it either way: under the sharded engine
+  // trace events reach a recorder only through the sink merge into the
+  // network's.
+  telemetry::Recorder local_rec;
+  telemetry::Recorder* rec =
+      options.recorder != nullptr ? options.recorder : &local_rec;
+
   sim::Network net(topo, options.seed);
   net.EnableLinkSampling(10 * kMillisecond);
-  if (options.recorder != nullptr) net.SetTelemetry(options.recorder);
+  net.SetTelemetry(rec);
 
   // Shard labels follow the ring (dense 1..R); tenant extras ride with
   // their region.
@@ -172,11 +181,6 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
   orch.Deploy(demands);
 
   // ---- The elastic control loop (the experiment's subject) ----
-  // A local recorder keeps the decision log even when the caller did not
-  // instrument the run; the artifact-bound recorder wins when present.
-  telemetry::Recorder local_rec;
-  telemetry::Recorder* rec =
-      options.recorder != nullptr ? options.recorder : &local_rec;
   control::ElasticPolicy policy = options.policy;
   policy.placement.switch_capacity = TightSwitchCapacity();
   std::unique_ptr<control::ElasticOrchestrator> elastic;
@@ -339,24 +343,19 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
     }
   }
 
-  const auto& es = rec->elastic_stats();
-  result.epochs = es.totals().epochs;
-  result.replans = es.totals().replans;
-  result.scale_ups = es.totals().scale_ups;
-  result.sheds = es.totals().sheds;
-  result.teardowns = es.totals().teardowns;
-  result.install_rejects = es.totals().install_rejects;
-  result.over_budget = es.totals().over_budget;
-  for (const auto& e : es.events()) {
-    if (e.action == telemetry::ElasticStats::Action::kScaleUp &&
-        result.first_scale_up_at == 0) {
-      result.first_scale_up_at = e.t;
-    }
-    if (e.action == telemetry::ElasticStats::Action::kTeardown) {
-      result.last_teardown_at = e.t;
-    }
-  }
   if (elastic != nullptr) {
+    const auto& totals = elastic->totals();
+    result.epochs = totals.epochs;
+    result.replans = totals.replans;
+    result.scale_ups = totals.scale_ups;
+    result.sheds = totals.sheds;
+    result.teardowns = totals.teardowns;
+    result.install_rejects = totals.install_rejects;
+    result.over_budget = totals.over_budget;
+    const auto ups = rec->trace().EventsWithPrefix("elastic.scale_up.");
+    if (!ups.empty()) result.first_scale_up_at = ups.front()->t;
+    const auto downs = rec->trace().EventsWithPrefix("elastic.teardown.");
+    if (!downs.empty()) result.last_teardown_at = downs.back()->t;
     for (const auto& [sw, names] : elastic->loop_installed()) {
       if (!names.empty()) result.retired = false;
     }
@@ -367,6 +366,7 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
     telemetry::Recorder& r = *options.recorder;
     net.CollectTelemetry(r);
     orch.CollectTelemetry(r);
+    if (elastic != nullptr) elastic->CollectTelemetry(r);
     auto& m = r.metrics();
     m.GetCounter("mt.sessions").Set(static_cast<std::uint64_t>(result.sessions));
     m.GetCounter("mt.completed").Set(static_cast<std::uint64_t>(result.completed));

@@ -52,8 +52,8 @@ struct MultiTenantOptions {
   /// regions.
   int shards = 0;
 
-  /// When set, the run is fully instrumented and carries the "elastic"
-  /// telemetry section — a pure function of (options, seed).
+  /// When set, the run is fully instrumented and carries the "elastic.*"
+  /// counters and decision events — a pure function of (options, seed).
   telemetry::Recorder* recorder = nullptr;
 };
 

@@ -181,8 +181,8 @@ class Network {
 
   /// Fails or restores one simplex link.  A failed link silently
   /// blackholes traffic — no notification to anyone; detecting it IS the
-  /// data plane's job (Blink-style recovery).  The down transition is
-  /// timestamped so a fast-failover PPM can model loss-of-light detection
+  /// data plane's job (dataplane::FastFailoverPpm).  The down transition is
+  /// timestamped so the failover PPM can model loss-of-light detection
   /// latency instead of reacting instantaneously.
   void SetLinkUp(LinkId l, bool up) {
     auto& rt = link_rt_[static_cast<std::size_t>(l)];

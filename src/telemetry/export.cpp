@@ -139,34 +139,6 @@ std::string ToJson(const Recorder& rec, const ExportOptions& opts) {
     out += ",\"int\":" + rec.int_collector().ToJsonSection();
   }
 
-  // Fault timeline: present only when faults were injected (or survived),
-  // so fault-free runs keep their pre-fault artifact bytes.
-  if (rec.fault_timeline().HasData()) {
-    out += ",\"fault\":";
-    out += rec.fault_timeline().ToJsonSection();
-  }
-
-  // SYN-defense counters: present only when the split proxy processed
-  // traffic, so runs without it keep their pre-SYN artifact bytes.
-  if (rec.syn_stats().HasData()) {
-    out += ",\"syn\":";
-    out += rec.syn_stats().ToJsonSection();
-  }
-
-  // Adversarial-hardening counters: present only when a hardening layer
-  // (mode-flood auth, admission policing, raise persistence) engaged.
-  if (rec.adv_stats().HasData()) {
-    out += ",\"adv\":";
-    out += rec.adv_stats().ToJsonSection();
-  }
-
-  // Elastic-orchestration decisions: present only when the control loop
-  // ran, so statically deployed runs keep their pre-elastic artifact bytes.
-  if (rec.elastic_stats().HasData()) {
-    out += ",\"elastic\":";
-    out += rec.elastic_stats().ToJsonSection();
-  }
-
   // Flight-recorder ring: integer fields only, so the section is
   // deterministic and participates in replay identity (unlike prof).
   if (rec.flight().HasData()) {

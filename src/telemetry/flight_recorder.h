@@ -15,8 +15,8 @@
 // and bench gates trigger one on a breach.  The latest dump is kept
 // in-memory and optionally mirrored to a file path for CI artifact upload.
 //
-// Like FaultTimeline, this sits at the bottom of the library stack and
-// must not depend on sim/fault/control types.
+// Like the rest of telemetry, this sits at the bottom of the library stack
+// and must not depend on sim/fault/control types.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,7 @@ void ShardSinkDumpRequest(ShardSink& sink, const std::string& reason, SimTime t)
 enum class FlightKind : std::uint8_t {
   kModeFlip,      // a = node, b = new mode word, c = epoch
   kAlarm,         // a = node, b = alarmed mode bits, c = epoch
-  kFaultInject,   // a = node, b = link, c = FaultRecordKind ordinal
+  kFaultInject,   // a = node, b = link, c = fault code (fault/injector.cpp)
   kFaultRepair,   // a = node, b = link
   kSwitchCrash,   // a = node
   kSwitchReboot,  // a = node

@@ -14,22 +14,10 @@ ShardSink* CurrentShardSink() { return g_shard_sink; }
 
 void SetCurrentShardSink(ShardSink* sink) { g_shard_sink = sink; }
 
-SynStats* CurrentSynShadow() {
-  return g_shard_sink != nullptr ? &g_shard_sink->syn : nullptr;
-}
-
-AdvStats* CurrentAdvShadow() {
-  return g_shard_sink != nullptr ? &g_shard_sink->adv : nullptr;
-}
-
 void ShardSinkFlight(ShardSink& sink, const FlightRecord& rec) { sink.PushFlight(rec); }
 
 void ShardSinkDumpRequest(ShardSink& sink, const std::string& reason, SimTime t) {
   sink.pending_dumps.push_back(ShardSink::PendingDump{t, sink.ctx, reason});
-}
-
-void ShardSinkFault(ShardSink& sink, const FaultRecord& rec) {
-  sink.fault.push_back(ShardSink::TaggedFault{sink.ctx, rec});
 }
 
 void MergeShardFlight(const std::vector<const ShardSink*>& sinks, FlightRecorder& flight) {
@@ -57,24 +45,11 @@ void MergeShardFlight(const std::vector<const ShardSink*>& sinks, FlightRecorder
 void MergeShardSinks(const std::vector<const ShardSink*>& sinks, Recorder& rec) {
   MergeShardFlight(sinks, rec.flight());
 
-  std::vector<ShardSink::TaggedFault> faults;
   std::vector<ShardSink::TaggedTraceEvent> traces;
   std::vector<const ShardSink::TaggedJourney*> journeys;
   for (const ShardSink* s : sinks) {
-    faults.insert(faults.end(), s->fault.begin(), s->fault.end());
     traces.insert(traces.end(), s->trace_events.begin(), s->trace_events.end());
     for (const auto& j : s->journeys) journeys.push_back(&j);
-    rec.syn_stats().MergeFrom(s->syn);
-    rec.adv_stats().MergeFrom(s->adv);
-  }
-
-  std::stable_sort(faults.begin(), faults.end(),
-                   [](const ShardSink::TaggedFault& a, const ShardSink::TaggedFault& b) {
-                     return a.rec.t != b.rec.t ? a.rec.t < b.rec.t : a.ctx < b.ctx;
-                   });
-  for (const auto& tagged : faults) {
-    rec.fault_timeline().Record(tagged.rec.t, tagged.rec.kind, tagged.rec.node,
-                                tagged.rec.link, tagged.rec.aux);
   }
 
   std::stable_sort(traces.begin(), traces.end(),

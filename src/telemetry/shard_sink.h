@@ -2,11 +2,11 @@
 // byte-identical to the K=1 run.
 //
 // The sharded engine executes shards on worker threads, so telemetry
-// writers (flight recorder, fault timeline, trace events, INT journeys,
-// SYN counters, network drop/retransmit hooks) would otherwise race on the
-// Recorder — and even race-free, their interleaving would depend on thread
-// timing.  Instead every worker thread gets a private ShardSink installed
-// as a thread_local; the recording classes check it first and divert their
+// writers (flight recorder, trace events, INT journeys, network
+// drop/retransmit hooks) would otherwise race on the Recorder — and even
+// race-free, their interleaving would depend on thread timing.  Instead
+// every worker thread gets a private ShardSink installed as a
+// thread_local; the recording classes check it first and divert their
 // records into it.  At Finish the engine hands all sinks (coordinator
 // first, then shards in index order) to MergeShardSinks, which rebuilds
 // each Recorder stream in CANONICAL order:
@@ -21,9 +21,11 @@
 // stream — is independent of the shard count and of thread timing.  That
 // is the whole determinism story: capture per thread, replay canonically.
 //
-// Counter-like data (drop/retransmit totals, 100 ms time-series bins, SYN
-// counters) needs no ordering at all — integer sums are associative — so
-// those merge by plain addition.
+// Counter-like data (drop/retransmit totals, 100 ms time-series bins)
+// needs no ordering at all — integer sums are associative — so those merge
+// by plain addition.  Counters a module keeps itself (the SYN proxy's, the
+// mode agent's) need no capture: only the shard that owns the switch ever
+// touches them, and CollectTelemetry copies them after the run.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/adv_stats.h"
-#include "telemetry/fault_timeline.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/int_collector.h"
-#include "telemetry/syn_stats.h"
 #include "telemetry/trace.h"
 #include "util/stats.h"
 #include "util/types.h"
@@ -73,8 +72,6 @@ struct ShardSink {
   std::uint64_t deliveries = 0;  ///< channel deliveries executed by this worker
   TimeSeries drop_series{100 * kMillisecond};
   TimeSeries retx_series{100 * kMillisecond};
-  SynStats syn;
-  AdvStats adv;
 
   // ---- Order-sensitive streams (tagged, replayed canonically) ----
   struct CwndSample {
@@ -90,12 +87,6 @@ struct ShardSink {
   };
   std::deque<TaggedFlight> flight;  // ring-bounded at kFlightCap
   std::uint64_t flight_total = 0;   // including evicted
-
-  struct TaggedFault {
-    std::int64_t ctx;
-    FaultRecord rec;
-  };
-  std::vector<TaggedFault> fault;
 
   struct TaggedTraceEvent {
     std::int64_t ctx;
@@ -156,9 +147,9 @@ inline Profiler* ResolveProf(Profiler* fallback) {
 void MergeShardFlight(const std::vector<const ShardSink*>& sinks, FlightRecorder& flight);
 
 /// Full one-shot merge into the recorder: flight ring rebuild plus
-/// canonical replay of fault records, trace events, INT journeys, cwnd is
-/// NOT here (the Network owns that hook — see Network::MergeSinkTelemetry)
-/// and SYN counter addition.  Call exactly once, with no sink installed.
+/// canonical replay of trace events (fault and elastic records included)
+/// and INT journeys.  cwnd is NOT here (the Network owns that hook — see
+/// Network::MergeSinkTelemetry).  Call exactly once, with no sink installed.
 void MergeShardSinks(const std::vector<const ShardSink*>& sinks, Recorder& rec);
 
 }  // namespace fastflex::telemetry

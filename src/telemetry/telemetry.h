@@ -1,5 +1,8 @@
 // Umbrella header and the Recorder: one metrics registry plus one event
-// tracer, attached to a run.
+// tracer, attached to a run.  Counters stay in the component that does the
+// work and are copied into the registry by a CollectTelemetry pass at the
+// end of the run; ordered records (alarms, mode changes, fault and elastic
+// decisions) are Tracer point events.
 //
 // Instrumented components take a `Recorder*` where nullptr means disabled;
 // the disabled path must cost exactly one branch per hook (the same
@@ -8,14 +11,10 @@
 // name lookups either.
 #pragma once
 
-#include "telemetry/adv_stats.h"
-#include "telemetry/elastic_stats.h"
-#include "telemetry/fault_timeline.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/int_collector.h"
 #include "telemetry/metrics.h"
 #include "telemetry/prof.h"
-#include "telemetry/syn_stats.h"
 #include "telemetry/trace.h"
 
 namespace fastflex::telemetry {
@@ -32,30 +31,6 @@ class Recorder {
   /// "int" section of the JSON artifact when it holds any data.
   IntCollector& int_collector() { return int_; }
   const IntCollector& int_collector() const { return int_; }
-
-  /// Fault / failover / reconvergence timeline (fed by the fault injector
-  /// and the survival machinery).  Exported as the "fault" section of the
-  /// JSON artifact when it holds any data.
-  FaultTimeline& fault_timeline() { return fault_; }
-  const FaultTimeline& fault_timeline() const { return fault_; }
-
-  /// SYN-defense counters (fed by the split-proxy PPMs).  Exported as the
-  /// "syn" section of the JSON artifact when it holds any data.
-  SynStats& syn_stats() { return syn_; }
-  const SynStats& syn_stats() const { return syn_; }
-
-  /// Adversarial-hardening counters (fed by the mode-flood authenticator,
-  /// the SYN-proxy admission policer, and detector raise-persistence).
-  /// Exported as the "adv" section of the JSON artifact when it holds any
-  /// data.
-  AdvStats& adv_stats() { return adv_; }
-  const AdvStats& adv_stats() const { return adv_; }
-
-  /// Elastic-orchestration decisions (fed by control::ElasticOrchestrator's
-  /// epoch loop: scale-ups, sheds, teardowns, over-budget audits).  Exported
-  /// as the "elastic" section of the JSON artifact when it holds any data.
-  ElasticStats& elastic_stats() { return elastic_; }
-  const ElasticStats& elastic_stats() const { return elastic_; }
 
   /// Self-profiler (sampled hot-path timers, region event density, queue
   /// occupancy).  Off by default — call prof().Enable() BEFORE attaching
@@ -75,10 +50,6 @@ class Recorder {
   MetricsRegistry metrics_;
   Tracer trace_;
   IntCollector int_;
-  FaultTimeline fault_;
-  SynStats syn_;
-  AdvStats adv_;
-  ElasticStats elastic_;
   Profiler prof_;
   FlightRecorder flight_;
 };

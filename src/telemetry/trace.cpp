@@ -6,6 +6,13 @@
 
 namespace fastflex::telemetry {
 
+std::int64_t TraceEvent::Field(std::string_view key, std::int64_t fallback) const {
+  for (const auto& f : fields) {
+    if (f.key == key) return f.value;
+  }
+  return fallback;
+}
+
 void Tracer::Event(SimTime t, std::string name, Fields fields) {
   TraceEvent ev{t, std::move(name), {fields.begin(), fields.end()}};
   if (ShardSink* sink = CurrentShardSink()) [[unlikely]] {
@@ -40,6 +47,14 @@ std::vector<const TraceEvent*> Tracer::EventsNamed(std::string_view name) const 
   std::vector<const TraceEvent*> out;
   for (const auto& e : events_) {
     if (e.name == name) out.push_back(&e);
+  }
+  return out;
+}
+
+std::vector<const TraceEvent*> Tracer::EventsWithPrefix(std::string_view prefix) const {
+  std::vector<const TraceEvent*> out;
+  for (const auto& e : events_) {
+    if (e.name.starts_with(prefix)) out.push_back(&e);
   }
   return out;
 }

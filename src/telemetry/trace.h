@@ -6,6 +6,12 @@
 // one (mode-change latency, switch repurposing).  Field values are 64-bit
 // integers only, so two replays of the same seed serialize identically.
 //
+// Dotted names group events into families that readers select by prefix:
+//   fault.<kind>{node, link, aux}   injected faults and what the survival
+//                                   machinery did about them (a field is
+//                                   present only where it applies)
+//   elastic.<action>.<booster>{sw}  the elastic control loop's decisions
+//
 // Recording is append-only vectors; the tracer never touches the event
 // queue or any simulation state, so attaching one cannot perturb a run.
 #pragma once
@@ -30,6 +36,9 @@ struct TraceEvent {
   SimTime t = 0;
   std::string name;
   std::vector<TraceField> fields;
+
+  /// The value of field `key`, or `fallback` when the event has none.
+  std::int64_t Field(std::string_view key, std::int64_t fallback = -1) const;
 };
 
 struct TraceSpan {
@@ -68,6 +77,10 @@ class Tracer {
 
   /// Point events with the given name, in record (= sim time) order.
   std::vector<const TraceEvent*> EventsNamed(std::string_view name) const;
+
+  /// Point events whose name starts with `prefix`, in record order: one
+  /// family of records, e.g. "fault." or "elastic.scale_up.".
+  std::vector<const TraceEvent*> EventsWithPrefix(std::string_view prefix) const;
 
   void Clear();
 

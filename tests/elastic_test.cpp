@@ -20,7 +20,6 @@ using scenarios::BuildHotnetsTopology;
 using scenarios::HotnetsTopology;
 using scenarios::SpreadDecoyRoutes;
 using scenarios::StartNormalTraffic;
-using telemetry::ElasticStats;
 
 // The four-booster default program (13.0 stages with shared components)
 // fits a 16-stage budget; syn_mitigation (+3.5) does not until the 1.5-stage
@@ -95,7 +94,7 @@ TEST(ElasticTest, ScaleUpOnAlarmPressure) {
     EXPECT_TRUE(d.orch->BoosterInstalled(sw, "syn_mitigation")) << sw;
     EXPECT_FALSE(d.elastic->loop_installed().at(sw).empty());
   }
-  const auto& totals = d.rec.elastic_stats().totals();
+  const auto& totals = d.elastic->totals();
   EXPECT_EQ(totals.scale_ups, d.Switches().size());
   EXPECT_GT(totals.epochs, 0u);
   EXPECT_GT(totals.repurposes, 0u);
@@ -109,16 +108,16 @@ TEST(ElasticTest, ShedsLowestValueBoosterFirstAndStaysInBudget) {
   d.RaiseSyn(d.h.a, true);
   d.net->RunUntil(2 * kSecond);
 
-  const auto& stats = d.rec.elastic_stats();
-  EXPECT_EQ(stats.totals().sheds, d.Switches().size());
-  EXPECT_EQ(stats.totals().install_rejects, 0u);
-  EXPECT_EQ(stats.totals().over_budget, 0u);
-  for (const auto& e : stats.events()) {
-    if (e.action == ElasticStats::Action::kShed) {
-      // hop_count_filter (value 25) is the cheapest resident booster; the
-      // never-shed floor protects the detectors and reroute.
-      EXPECT_EQ(e.booster, "hop_count_filter");
-    }
+  const auto& totals = d.elastic->totals();
+  EXPECT_EQ(totals.sheds, d.Switches().size());
+  EXPECT_EQ(totals.install_rejects, 0u);
+  EXPECT_EQ(totals.over_budget, 0u);
+  const auto sheds = d.rec.trace().EventsWithPrefix("elastic.shed.");
+  EXPECT_EQ(sheds.size(), totals.sheds);
+  for (const telemetry::TraceEvent* e : sheds) {
+    // hop_count_filter (value 25) is the cheapest resident booster; the
+    // never-shed floor protects the detectors and reroute.
+    EXPECT_EQ(e->name, "elastic.shed.hop_count_filter");
   }
   for (NodeId sw : d.Switches()) {
     EXPECT_FALSE(d.orch->BoosterInstalled(sw, "hop_count_filter")) << sw;
@@ -143,7 +142,7 @@ TEST(ElasticTest, QuietEpochsTearDownToDefaultProgram) {
     auto it = d.elastic->loop_installed().find(sw);
     if (it != d.elastic->loop_installed().end()) EXPECT_TRUE(it->second.empty());
   }
-  const auto& totals = d.rec.elastic_stats().totals();
+  const auto& totals = d.elastic->totals();
   EXPECT_EQ(totals.teardowns, totals.scale_ups);
   EXPECT_EQ(totals.over_budget, 0u);
 
@@ -151,7 +150,7 @@ TEST(ElasticTest, QuietEpochsTearDownToDefaultProgram) {
   d.RaiseSyn(d.h.a, true);
   d.net->RunUntil(10 * kSecond);
   EXPECT_TRUE(d.elastic->RegionScaledUp(1, 0));
-  EXPECT_EQ(d.rec.elastic_stats().totals().scale_ups, 2 * d.Switches().size());
+  EXPECT_EQ(d.elastic->totals().scale_ups, 2 * d.Switches().size());
 }
 
 TEST(ElasticTest, RejectsWhenNothingSheddableRemains) {
@@ -162,10 +161,12 @@ TEST(ElasticTest, RejectsWhenNothingSheddableRemains) {
   d.RaiseSyn(d.h.a, true);
   d.net->RunUntil(2 * kSecond);
 
-  const auto& stats = d.rec.elastic_stats();
-  EXPECT_EQ(stats.totals().install_rejects, d.Switches().size());
-  EXPECT_EQ(stats.totals().scale_ups, 0u);
-  EXPECT_EQ(stats.totals().over_budget, 0u);
+  const auto& totals = d.elastic->totals();
+  EXPECT_EQ(totals.install_rejects, d.Switches().size());
+  EXPECT_EQ(totals.scale_ups, 0u);
+  EXPECT_EQ(totals.over_budget, 0u);
+  EXPECT_EQ(d.rec.trace().EventsWithPrefix("elastic.reject.syn_mitigation").size(),
+            d.Switches().size());
   for (NodeId sw : d.Switches()) {
     EXPECT_FALSE(d.orch->BoosterInstalled(sw, "syn_mitigation")) << sw;
     const dataplane::Pipeline* pipe = d.orch->pipeline(sw);
@@ -173,10 +174,10 @@ TEST(ElasticTest, RejectsWhenNothingSheddableRemains) {
   }
   // Rejected installs are not retried while the pressure persists: no new
   // repurposing blackouts epoch after epoch.
-  const std::uint64_t repurposes = stats.totals().repurposes;
+  const std::uint64_t repurposes = totals.repurposes;
   d.net->RunUntil(4 * kSecond);
-  EXPECT_EQ(stats.totals().repurposes, repurposes);
-  EXPECT_EQ(stats.totals().install_rejects, d.Switches().size());
+  EXPECT_EQ(totals.repurposes, repurposes);
+  EXPECT_EQ(totals.install_rejects, d.Switches().size());
 }
 
 TEST(ElasticTest, ScaleUpScopedToPressuredRegion) {
@@ -192,7 +193,12 @@ TEST(ElasticTest, ScaleUpScopedToPressuredRegion) {
   for (NodeId sw : {d.h.m1, d.h.m2, d.h.m3, d.h.r, d.h.rv, d.h.rd}) {
     EXPECT_FALSE(d.orch->BoosterInstalled(sw, "syn_mitigation")) << sw;
   }
-  EXPECT_EQ(d.rec.elastic_stats().totals().scale_ups, 3u);
+  EXPECT_EQ(d.elastic->totals().scale_ups, 3u);
+  // Each decision event names the switch it acted on.
+  for (const telemetry::TraceEvent* e : d.rec.trace().EventsWithPrefix("elastic.scale_up.")) {
+    const auto sw = static_cast<NodeId>(e->Field("sw"));
+    EXPECT_TRUE(sw == d.h.a || sw == d.h.b || sw == d.h.e) << sw;
+  }
 }
 
 TEST(ElasticTest, ElasticTelemetryReplayIsByteIdentical) {
@@ -201,13 +207,14 @@ TEST(ElasticTest, ElasticTelemetryReplayIsByteIdentical) {
     d.net->events().ScheduleAfter(500 * kMillisecond, [&d] { d.RaiseSyn(d.h.a, true); });
     d.net->events().ScheduleAfter(3 * kSecond, [&d] { d.RaiseSyn(d.h.a, false); });
     d.net->RunUntil(8 * kSecond);
-    return d.rec.elastic_stats().ToJsonSection();
+    d.elastic->CollectTelemetry(d.rec);
+    return telemetry::ToJson(d.rec);
   };
   const std::string a = cycle();
   const std::string b = cycle();
-  EXPECT_FALSE(a.empty());
-  EXPECT_NE(a.find("\"scale_up\""), std::string::npos);
-  EXPECT_NE(a.find("\"teardown\""), std::string::npos);
+  EXPECT_NE(a.find("\"elastic.scale_ups\""), std::string::npos);
+  EXPECT_NE(a.find("\"elastic.scale_up.syn_mitigation\""), std::string::npos);
+  EXPECT_NE(a.find("\"elastic.teardown.syn_mitigation\""), std::string::npos);
   EXPECT_EQ(a, b);
 }
 
@@ -236,8 +243,18 @@ TEST(ElasticTest, MultiTenantCoexistenceAcceptance) {
   EXPECT_TRUE(r.retired);
   EXPECT_EQ(r.teardowns, r.scale_ups);
   EXPECT_GT(r.last_teardown_at, 30 * kSecond);
-  // The decision log rode into the exported artifact.
-  EXPECT_NE(telemetry::ToJson(rec).find("\"elastic\":"), std::string::npos);
+  // The SYN proxies were torn down before the run ended; their counts
+  // survive in the export as each switch's whole-run total.
+  std::uint64_t cookies = 0;
+  for (const auto& [name, counter] : rec.metrics().counters()) {
+    if (name.ends_with(".syn_proxy.cookies_sent")) cookies += counter.value();
+  }
+  EXPECT_EQ(cookies, r.cookies_sent);
+  // The totals and the decision log rode into the exported artifact.
+  const std::string json = telemetry::ToJson(rec);
+  EXPECT_NE(json.find("\"elastic.scale_ups\":" + std::to_string(r.scale_ups)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"elastic.shed."), std::string::npos);
 }
 
 }  // namespace

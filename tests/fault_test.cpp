@@ -3,6 +3,9 @@
 // bit-identical fault telemetry under replay.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "control/orchestrator.h"
 #include "control/routes.h"
 #include "fault/fault.h"
@@ -15,7 +18,22 @@
 namespace fastflex {
 namespace {
 
-using telemetry::FaultRecordKind;
+// Time of the first trace event named `name`, or -1 when none exists.
+SimTime FirstAt(const telemetry::Tracer& trace, std::string_view name) {
+  const auto events = trace.EventsNamed(name);
+  return events.empty() ? -1 : events.front()->t;
+}
+
+// The fault.* events in record order, one "t name k=v ..." line each.
+std::string FaultEvents(const telemetry::Recorder& rec) {
+  std::string out;
+  for (const telemetry::TraceEvent* e : rec.trace().EventsWithPrefix("fault.")) {
+    out += std::to_string(e->t) + " " + e->name;
+    for (const auto& f : e->fields) out += " " + f.key + "=" + std::to_string(f.value);
+    out += "\n";
+  }
+  return out;
+}
 
 TEST(FaultPlanTest, RandomIsDeterministicAndFabricScoped) {
   const auto h = scenarios::BuildHotnetsTopology();
@@ -111,11 +129,11 @@ TEST(FaultInjectorTest, LinkRepairRestoresService) {
 
   EXPECT_EQ(injector.injected(), 1u);
   EXPECT_EQ(injector.repaired(), 1u);
-  const auto& tl = rec.fault_timeline();
-  EXPECT_EQ(tl.CountOf(FaultRecordKind::kLinkDown), 1u);
-  EXPECT_EQ(tl.CountOf(FaultRecordKind::kLinkUp), 1u);
-  EXPECT_EQ(tl.FirstOf(FaultRecordKind::kLinkDown), 2 * kSecond);
-  EXPECT_EQ(tl.FirstOf(FaultRecordKind::kLinkUp), 3 * kSecond);
+  const auto& trace = rec.trace();
+  EXPECT_EQ(trace.CountOf("fault.link_down"), 1u);
+  EXPECT_EQ(trace.CountOf("fault.link_up"), 1u);
+  EXPECT_EQ(FirstAt(trace, "fault.link_down"), 2 * kSecond);
+  EXPECT_EQ(FirstAt(trace, "fault.link_up"), 3 * kSecond);
 }
 
 TEST(ModeProtocolFaultTest, CrashDuringFloodReconverges) {
@@ -257,11 +275,10 @@ TEST(FaultReplayTest, FaultTelemetryBitIdentical) {
   opt.recorder = &rec_b;
   const auto b = scenarios::RunFaultyFig3(opt);
 
-  // The fault section — and in fact the whole artifact — replays
+  // The fault events — and in fact the whole artifact — replay
   // byte-for-byte at the same seed.
-  ASSERT_TRUE(rec_a.fault_timeline().HasData());
-  EXPECT_EQ(rec_a.fault_timeline().ToJsonSection(),
-            rec_b.fault_timeline().ToJsonSection());
+  ASSERT_FALSE(FaultEvents(rec_a).empty());
+  EXPECT_EQ(FaultEvents(rec_a), FaultEvents(rec_b));
   EXPECT_EQ(telemetry::ToJson(rec_a), telemetry::ToJson(rec_b));
 
   // Derived latencies agree too.

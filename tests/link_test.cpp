@@ -105,6 +105,15 @@ TEST(LinkTest, UtilizationSamplingTracksLoad) {
   EXPECT_LT(net.LinkUtilization(line.mid), 0.1);
 }
 
+TEST(LinkTest, LinkDownDropsAreCounted) {
+  Line line;
+  Network net(line.t, 1);
+  net.SetLinkUp(line.mid, false);
+  net.SendOnLink(line.mid, MakeUdp(net, line.s1, line.h2, 100));
+  EXPECT_EQ(net.link_runtime(line.mid).down_drops, 1u);
+  EXPECT_EQ(net.link_runtime(line.mid).tx_packets, 0u);
+}
+
 TEST(SwitchTest, RoutesByDestinationAddress) {
   Line line;
   Network net(line.t, 1);

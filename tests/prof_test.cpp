@@ -223,8 +223,8 @@ TEST(Export, EmptyRecorderOmitsOptionalSections) {
   // Optional sections stay out until they carry data: artifact bytes of a
   // feature-free run never change when a feature ships.
   EXPECT_EQ(json.find("\"int\":"), std::string::npos);
-  EXPECT_EQ(json.find("\"fault\":"), std::string::npos);
-  EXPECT_EQ(json.find("\"syn\":"), std::string::npos);
+  EXPECT_EQ(json.find("\"fault."), std::string::npos);
+  EXPECT_EQ(json.find("syn_proxy"), std::string::npos);
   EXPECT_EQ(json.find("\"flight\":"), std::string::npos);
   EXPECT_EQ(json.find("\"prof\":"), std::string::npos);
 }

@@ -2,11 +2,14 @@
 // scenario twice with the same seed must produce bit-identical telemetry
 // JSON.  This pins the whole stack — event queue ordering, RNG streams,
 // TCP dynamics, mode protocol, and the exporter — as a replayable function
-// of (options, seed).
+// of (options, seed).  The SYN-flood replay's short run also checks what
+// the export says about the split proxy: each per-switch counter copied
+// from its module.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "scenarios/builder.h"
 #include "scenarios/fig3.h"
 #include "scenarios/syn_flood_fig.h"
 #include "telemetry/export.h"
@@ -59,6 +62,9 @@ TEST(Replay, SameSeedProducesBitIdenticalTelemetryJson) {
   EXPECT_EQ(rec1.int_collector().journeys(), rec2.int_collector().journeys());
   EXPECT_EQ(rec1.int_collector().ToJsonSection(), rec2.int_collector().ToJsonSection());
   EXPECT_NE(json1.find("\"fig3.int.journeys\""), std::string::npos);
+
+  // No SYN defense deployed: no switch carries split-proxy keys.
+  EXPECT_EQ(json1.find("syn_proxy"), std::string::npos);
 }
 
 SynFloodFigOptions ShortSynRun(telemetry::Recorder* rec, std::uint64_t seed) {
@@ -101,10 +107,109 @@ TEST(Replay, SynFloodSameSeedProducesBitIdenticalTelemetryJson) {
   EXPECT_EQ(r1.filter_inserts, r2.filter_inserts);
   EXPECT_EQ(r1.events_processed, r2.events_processed);
 
-  // The "syn" section and the harvested result gauges are present.
-  EXPECT_NE(json1.find("\"syn\":{"), std::string::npos);
+  // The copied split-proxy counters and the harvested result gauges are
+  // present.
+  EXPECT_NE(json1.find(".syn_proxy.cookies_sent\":"), std::string::npos);
   EXPECT_NE(json1.find("\"synfig.established\""), std::string::npos);
   EXPECT_NE(json1.find("\"synfig.cookies_sent\""), std::string::npos);
+}
+
+TEST(Replay, SynModuleCountersCopiedPerSwitch) {
+  // The SYN-defense counters live in the PPMs; the orchestrator's
+  // CollectTelemetry copies them as switch.<id>.<module>.<counter>.  Built
+  // exactly as RunSynFloodFig builds it, but kept alive so every key can be
+  // checked against the module it was copied from.
+  const SynFloodFigOptions opt = ShortSynRun(nullptr, 3);
+  telemetry::Recorder rec;
+  BuiltScenario s = ScenarioBuilder()
+                        .Seed(opt.seed)
+                        .Defense(opt.defense)
+                        .EnableInt(opt.enable_int)
+                        .AttackAt(opt.attack_at)
+                        .SynFlood(opt.flood)
+                        .SampleModes(dataplane::mode::kSynDefense)
+                        .Record(&rec)
+                        .Build();
+  sim::RunOptions run;
+  run.duration = opt.duration;
+  RunScenario(s, run);
+  // A switch without the module has no key for it.
+  const NodeId bare = s.h.m1;
+  ASSERT_TRUE(s.orchestrator->pipeline(bare)->Uninstall("seq_translate"));
+  // A crash wipe zeroes the filter's own counters, not the proxy's: the
+  // export keeps the proxy's whole-run counts.
+  const NodeId wiped = s.h.rv;
+  const auto* wiped_proxy = s.orchestrator->syn_proxy(wiped);
+  ASSERT_NE(wiped_proxy, nullptr);
+  ASSERT_GT(wiped_proxy->filter_inserts(), 0u);
+  ASSERT_GT(wiped_proxy->filter_deletes(), 0u);
+  s.orchestrator->pipeline(wiped)->ResetState();
+  ASSERT_EQ(wiped_proxy->filter().insertions(), 0u);
+  ASSERT_EQ(wiped_proxy->filter().deletions(), 0u);
+  s.orchestrator->CollectTelemetry(rec);
+  s.net->SetTelemetry(nullptr);
+
+  const auto& counters = rec.metrics().counters();
+  auto key = [](NodeId sw, const char* module, const char* counter) {
+    return telemetry::Join("switch", sw, module, counter);
+  };
+  auto expect_copied = [&](const std::string& name, std::uint64_t value) {
+    const auto it = counters.find(name);
+    ASSERT_NE(it, counters.end()) << name;
+    EXPECT_EQ(it->second.value(), value) << name;
+  };
+  for (const auto& node : s.net->topology().nodes()) {
+    if (node.kind != sim::NodeKind::kSwitch) continue;
+    const NodeId sw = node.id;
+    const auto* det = s.orchestrator->syn_rate_detector(sw);
+    const auto* proxy = s.orchestrator->syn_proxy(sw);
+    const auto* xlate = s.orchestrator->seq_translate(sw);
+    ASSERT_NE(det, nullptr) << sw;
+    ASSERT_NE(proxy, nullptr) << sw;
+    expect_copied(key(sw, "syn_rate_detector", "raises_suppressed"), det->raises_suppressed());
+    expect_copied(key(sw, "syn_proxy", "cookies_sent"), proxy->cookies_sent());
+    expect_copied(key(sw, "syn_proxy", "handshakes_validated"), proxy->handshakes_validated());
+    expect_copied(key(sw, "syn_proxy", "invalid_cookies"), proxy->invalid_cookies());
+    expect_copied(key(sw, "syn_proxy", "filter_inserts"), proxy->filter_inserts());
+    expect_copied(key(sw, "syn_proxy", "filter_insert_failures"),
+                  proxy->filter_insert_failures());
+    expect_copied(key(sw, "syn_proxy", "filter_deletes"), proxy->filter_deletes());
+    expect_copied(key(sw, "syn_proxy", "idle_evictions"), proxy->idle_evictions());
+    expect_copied(key(sw, "syn_proxy", "policed_drops"), proxy->policed_drops());
+    expect_copied(key(sw, "syn_proxy", "admissions_policed"), proxy->admissions_policed());
+    expect_copied(key(sw, "mode_protocol", "auth_rejects"),
+                  s.orchestrator->agent(sw)->auth_rejects());
+    if (sw == bare) {
+      ASSERT_EQ(xlate, nullptr);
+      const std::string prefix = telemetry::Join("switch", sw, "seq_translate");
+      for (const auto& [name, counter] : counters) EXPECT_FALSE(name.starts_with(prefix)) << name;
+      continue;
+    }
+    ASSERT_NE(xlate, nullptr) << sw;
+    expect_copied(key(sw, "seq_translate", "translations_established"),
+                  xlate->translations_established());
+    expect_copied(key(sw, "seq_translate", "seq_translated"), xlate->seq_translated());
+  }
+
+  // Summed over switches, the exported keys of a RunSynFloodFig run equal
+  // the totals it reports.
+  telemetry::Recorder fig_rec;
+  const SynFloodFigResult r = RunSynFloodFig(ShortSynRun(&fig_rec, 3));
+  auto sum = [&](const std::string& suffix) {
+    std::uint64_t total = 0;
+    for (const auto& [name, counter] : fig_rec.metrics().counters()) {
+      if (name.starts_with("switch.") && name.ends_with(suffix)) total += counter.value();
+    }
+    return total;
+  };
+  EXPECT_GT(r.cookies_sent, 0u);
+  EXPECT_EQ(sum(".syn_proxy.cookies_sent"), r.cookies_sent);
+  EXPECT_EQ(sum(".syn_proxy.handshakes_validated"), r.handshakes_validated);
+  EXPECT_EQ(sum(".syn_proxy.invalid_cookies"), r.invalid_cookies);
+  EXPECT_EQ(sum(".syn_proxy.filter_inserts"), r.filter_inserts);
+  EXPECT_EQ(sum(".syn_proxy.filter_insert_failures"), r.filter_insert_failures);
+  EXPECT_EQ(sum(".syn_proxy.policed_drops"), r.policed_drops);
+  EXPECT_EQ(sum(".seq_translate.seq_translated"), r.seq_translated);
 }
 
 TEST(Replay, DifferentSeedsDiverge) {

@@ -24,9 +24,8 @@ Reads a gates file (bench/baselines/gates.json) listing checks of four types:
              which are machine-independent.
   ratio      In a google-benchmark JSON artifact, benchmark `numerator`'s
              `field` divided by benchmark `denominator`'s must be >= `min`.
-             In-run ratios (inline vs std::function event closure in the
-             same binary) are the machine-independent way to gate an
-             optimization.
+             In-run ratios (two arms of one optimization in the same
+             binary) are the machine-independent way to gate it.
 
 Exit code 0 iff every check passes.  A markdown report is always written
 (--report), so CI can upload it as an artifact even on failure.  With
