@@ -26,9 +26,7 @@ void PacketDropperPpm::Process(sim::PacketContext& ctx) {
   // path; per-hop re-evaluation would compound the probability.
   if (pkt.HasTag(sim::tag::kDropEvaluated)) return;
   pkt.SetTag(sim::tag::kDropEvaluated, 1);
-  // Per-switch stream: under a sharded engine the draw sequence depends
-  // only on this switch's own packet order, not on cross-shard interleaving.
-  if (net_->rng_for_node(ctx.sw->id()).Bernoulli(probability_)) {
+  if (net_->rng().Bernoulli(probability_)) {
     ctx.drop = true;
     ++dropped_;
   }

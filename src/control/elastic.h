@@ -24,9 +24,9 @@
 //     PlaceClusters) whenever the active mix changes, as feasibility
 //     evidence for the new program.
 //
-// Determinism: the tick runs in the event loop (a coordinator global under
-// the sharded engine), switches and regions are visited in sorted order,
-// and every decision reads only sim-state — reruns are byte-identical.
+// Determinism: the tick runs in the event loop, switches and regions are
+// visited in sorted order, and every decision reads only sim-state —
+// reruns are byte-identical.
 #pragma once
 
 #include <cstdint>

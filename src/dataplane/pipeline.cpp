@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/shard_sink.h"
-
 namespace fastflex::dataplane {
 
 bool Pipeline::Install(std::shared_ptr<Ppm> ppm) {
@@ -52,10 +50,7 @@ void Pipeline::Process(sim::PacketContext& ctx) {
 }
 
 void Pipeline::ProcessInstrumented(sim::PacketContext& ctx) {
-  // ResolveProf: under a sharded engine the cached shared profiler would be
-  // a data race across workers — use the worker's private one instead.
-  telemetry::ProfScope prof_scope(telemetry::ResolveProf(prof_),
-                                  telemetry::ProfSite::kPipelineWalk);
+  telemetry::ProfScope prof_scope(prof_, telemetry::ProfSite::kPipelineWalk);
   ++walks_;
   hooks_.walks->Inc();
   for (const auto& m : modules_) {

@@ -130,11 +130,10 @@ SweepSpec BuildFig3Sweep(const std::string& name, std::uint64_t base_seed,
         scenarios::Fig3Options options;
         options.defense = defense;
         options.seed = seed;
-        options.duration = grid.run.duration;
+        options.duration = grid.duration;
         options.attack_at = grid.attack_at;
         options.attack_flows = grid.attack_flows;
         options.enable_int = grid.enable_int;
-        options.shards = grid.run.shards;
         const scenarios::Fig3Result result = scenarios::RunFig3(options);
         return Fig3SummaryJson(defense, result);
       };

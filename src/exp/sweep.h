@@ -6,6 +6,9 @@
 // nothing, the Runner may execute them on any number of worker threads and
 // the aggregated report is bit-identical regardless — the report is ordered
 // by cell index and contains no timing or thread-count fields.
+//
+// This is how the simulator uses more than one core: a single run executes
+// on one thread (Network::RunUntil), and a sweep runs many cells at once.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +17,6 @@
 #include <vector>
 
 #include "scenarios/fig3.h"
-#include "sim/run_options.h"
 #include "util/types.h"
 
 namespace fastflex::exp {
@@ -79,15 +81,9 @@ struct Fig3GridOptions {
   SimTime attack_at = 10 * kSecond;
   int attack_flows = 250;
   bool enable_int = true;
-  /// How each cell runs: duration plus worker shards per cell
-  /// (sim::RunOptions::shards; 0 = legacy single-threaded).  Thread
-  /// allocation note: the Runner's worker count multiplies with the shard
-  /// count — W runner workers at K shards each occupy up to W*K cores.
-  /// Prefer runner-level parallelism for wide grids (cells are
-  /// embarrassingly parallel) and per-run shards for narrow grids of long
-  /// runs; the report bytes are identical either way, because a sharded
-  /// cell's telemetry is K-invariant and the report orders by cell index.
-  sim::RunOptions run = {.duration = 120 * kSecond};
+  /// Simulated length of each cell's run.  Each cell runs on one thread;
+  /// the Runner's worker pool is where a sweep gets its parallelism.
+  SimTime duration = 120 * kSecond;
 };
 
 const char* DefenseName(scenarios::DefenseKind kind);

@@ -29,10 +29,7 @@ SendStateResult SendState(sim::Network* net, sim::SwitchNode* from, Address to_a
   SendStateResult result;
   SimTime when = 0;
   auto dispatch = [&](sim::Packet pkt) {
-    if (options.inject_loss > 0.0 &&
-        net->rng_for_node(from->id()).Bernoulli(options.inject_loss)) {
-      return;
-    }
+    if (options.inject_loss > 0.0 && net->rng().Bernoulli(options.inject_loss)) return;
     if (when == 0) {
       from->SendRouted(std::move(pkt));
     } else {

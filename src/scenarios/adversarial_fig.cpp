@@ -219,10 +219,7 @@ AdversarialFigResult RunAdversarialFig(const AdversarialFigOptions& o) {
   auto max_load = std::make_shared<double>(0.0);
   StartFilterLoadSampler(s.net.get(), s.orchestrator.get(), o.duration, max_load);
 
-  sim::RunOptions run;
-  run.duration = o.duration;
-  run.shards = o.shards;
-  RunScenario(s, run);
+  s.net->RunUntil(o.duration);
 
   AdversarialFigResult r;
   r.fp_frac = fp->total > 0 ? static_cast<double>(fp->hot) /

@@ -51,7 +51,6 @@ struct AdversarialFigOptions {
   /// When the adaptive attacker starts.  Kept a multiple of the detector
   /// check period so the pulse strategy's bursts align with check windows.
   SimTime attack_at = 5 * kSecond;
-  int shards = 0;  // 0 = legacy single-threaded run
   /// When set: full instrumentation plus "advfig.*" result gauges, all a
   /// pure function of (options, seed) — reruns are byte-identical.
   telemetry::Recorder* recorder = nullptr;

@@ -7,7 +7,6 @@
 
 #include "boosters/registry.h"
 #include "control/routes.h"
-#include "sim/sharded_engine.h"
 
 namespace fastflex::scenarios {
 
@@ -85,11 +84,9 @@ BuiltScenario ScenarioBuilder::Build() {
   s.net->EnableLinkSampling(10 * kMillisecond);
 
   // Region labels: 1 = left edge + traffic sources, 2 = core middle paths,
-  // 3 = right aggregation + victim/decoy side.  These drive profiler
-  // event-density attribution AND are the shard cut lines when the run goes
-  // through a ShardedEngine (RunScenario with shards >= 1) — distinct from
-  // SwitchNode::region, which scopes mode floods.  Labels must stay dense
-  // (every value in [min, max] used); the engine validates this at start.
+  // 3 = right aggregation + victim/decoy side.  They drive only the
+  // profiler's event-density attribution — distinct from SwitchNode::region,
+  // which scopes mode floods.
   for (NodeId n : {s.h.a, s.h.b, s.h.e}) s.net->set_node_region(n, 1);
   for (NodeId n : s.h.clients) s.net->set_node_region(n, 1);
   for (NodeId n : s.h.bots) s.net->set_node_region(n, 1);
@@ -238,18 +235,6 @@ BuiltScenario ScenarioBuilder::Build() {
   }
 
   return s;
-}
-
-void RunScenario(BuiltScenario& s, const sim::RunOptions& options) {
-  if (options.shards <= 0) {
-    s.net->RunUntil(options.duration);
-    return;
-  }
-  sim::ShardedEngine::Options opt;
-  opt.shards = options.shards;
-  sim::ShardedEngine engine(*s.net, opt);
-  engine.RunUntil(options.duration);
-  engine.Finish();
 }
 
 }  // namespace fastflex::scenarios

@@ -27,7 +27,6 @@
 #include "scenarios/hotnets.h"
 #include "sim/handshake.h"
 #include "sim/network.h"
-#include "sim/run_options.h"
 
 namespace fastflex::scenarios {
 
@@ -131,12 +130,5 @@ class ScenarioBuilder {
   telemetry::Recorder* recorder_ = nullptr;
   std::uint32_t sample_bits_ = dataplane::mode::kLfaReroute;
 };
-
-/// Runs a built scenario per `options` (see sim::RunOptions): to
-/// `options.duration`, single-threaded when `options.shards <= 0`, under a
-/// sim::ShardedEngine partitioned along the region labels Build() assigned
-/// otherwise.  `options.export_options` is carried for the caller's own
-/// serialization step; RunScenario itself never exports.
-void RunScenario(BuiltScenario& s, const sim::RunOptions& options);
 
 }  // namespace fastflex::scenarios

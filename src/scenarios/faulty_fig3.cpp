@@ -75,10 +75,7 @@ FaultyFig3Result RunFaultyFig3(const FaultyFig3Options& options) {
     net->events().ScheduleAt(reboot_at + kMillisecond, [poll] { (*poll)(); });
   }
 
-  sim::RunOptions run;
-  run.duration = options.duration;
-  run.shards = options.shards;
-  RunScenario(s, run);
+  s.net->RunUntil(options.duration);
 
   FaultyFig3Result result;
   result.fig3 = SummarizeFig3Run(s, options.duration, options.attack_at, options.recorder);

@@ -34,11 +34,6 @@ struct FaultyFig3Options {
   SimTime crash_at = 20 * kSecond;            // M2 crash + register loss
   SimTime reboot_after = 2 * kSecond;
 
-  /// 0 = legacy single-threaded run; >= 1 = run under a ShardedEngine (see
-  /// Fig3Options::shards).  The crash/repair plan fires on the crashed
-  /// switch's own shard while the others keep flooding modes.
-  int shards = 0;
-
   /// When set, the run is fully instrumented; the artifact additionally
   /// carries the "fault.*" trace events and "faulty_fig3.*" gauges.  When
   /// null, an internal recorder still takes the fault events (the latency

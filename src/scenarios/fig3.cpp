@@ -143,10 +143,7 @@ Fig3Result RunFig3(const Fig3Options& options) {
                         .SdnEpoch(options.sdn_epoch)
                         .Record(options.recorder)
                         .Build();
-  sim::RunOptions run;
-  run.duration = options.duration;
-  run.shards = options.shards;
-  RunScenario(s, run);
+  s.net->RunUntil(options.duration);
   return SummarizeFig3Run(s, options.duration, options.attack_at, options.recorder);
 }
 

@@ -27,11 +27,6 @@ struct Fig3Options {
 
   int attack_flows = 250;
 
-  /// 0 = legacy single-threaded run; >= 1 = run under a ShardedEngine with
-  /// this many shards (clamped to the region count).  All sharded runs of
-  /// the same (options, seed) yield byte-identical telemetry regardless of K.
-  int shards = 0;
-
   // Ablations (FastFlex only).
   bool enable_obfuscation = true;  // step 4: hide rerouting from traceroute
   bool enable_dropping = true;     // step 5: illusion of success

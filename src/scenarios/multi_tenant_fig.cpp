@@ -12,7 +12,6 @@
 #include "scheduler/te.h"
 #include "sim/handshake.h"
 #include "sim/network.h"
-#include "sim/sharded_engine.h"
 #include "sim/switch_node.h"
 #include "sim/topology.h"
 #include "telemetry/export.h"
@@ -108,9 +107,7 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
 
   // A local recorder keeps the elastic decision log even when the caller
   // did not instrument the run; the artifact-bound recorder wins when
-  // present.  The network carries it either way: under the sharded engine
-  // trace events reach a recorder only through the sink merge into the
-  // network's.
+  // present.  The network records into the same one either way.
   telemetry::Recorder local_rec;
   telemetry::Recorder* rec =
       options.recorder != nullptr ? options.recorder : &local_rec;
@@ -119,8 +116,8 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
   net.EnableLinkSampling(10 * kMillisecond);
   net.SetTelemetry(rec);
 
-  // Shard labels follow the ring (dense 1..R); tenant extras ride with
-  // their region.
+  // Profiler region labels follow the ring (1..R); tenant extras ride
+  // with their region.
   for (int r = 0; r < R; ++r) {
     const auto i = static_cast<std::size_t>(r);
     for (NodeId n : {agg[i], edge[i], server[i]}) net.set_node_region(n, r + 1);
@@ -301,15 +298,7 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
   }
 
   // ---- Run ----
-  if (options.shards <= 0) {
-    net.RunUntil(options.duration);
-  } else {
-    sim::ShardedEngine::Options opt;
-    opt.shards = options.shards;
-    sim::ShardedEngine engine(net, opt);
-    engine.RunUntil(options.duration);
-    engine.Finish();
-  }
+  net.RunUntil(options.duration);
 
   // ---- Results ----
   result.events_processed = net.TotalEventsProcessed();

@@ -48,10 +48,6 @@ struct MultiTenantOptions {
   /// Elastic control-loop policy (rules default to the LFA/SYN pairs).
   control::ElasticPolicy policy;
 
-  /// 0 = legacy single-threaded run; >= 1 = ShardedEngine over the ring
-  /// regions.
-  int shards = 0;
-
   /// When set, the run is fully instrumented and carries the "elastic.*"
   /// counters and decision events — a pure function of (options, seed).
   telemetry::Recorder* recorder = nullptr;

@@ -5,7 +5,6 @@
 
 #include "control/routes.h"
 #include "sim/network.h"
-#include "sim/sharded_engine.h"
 #include "sim/topology.h"
 
 namespace fastflex::scenarios {
@@ -41,8 +40,7 @@ ScaleFig3Result RunScaleFig3(const ScaleFig3Options& options) {
                          queue_bytes);
     }
   }
-  // The ring: these are the only links a region-aligned shard cut crosses,
-  // so their propagation delay is the engine's lookahead.
+  // The ring: the only links between regions.
   for (int r = 0; r < R; ++r) {
     topo.AddDuplexLink(agg[static_cast<std::size_t>(r)],
                        agg[static_cast<std::size_t>((r + 1) % R)], ring_bps,
@@ -87,15 +85,7 @@ ScaleFig3Result RunScaleFig3(const ScaleFig3Options& options) {
   }
   result.flows = static_cast<int>(flows.size());
 
-  if (options.shards <= 0) {
-    net.RunUntil(options.duration);
-  } else {
-    sim::ShardedEngine::Options opt;
-    opt.shards = options.shards;
-    sim::ShardedEngine engine(net, opt);
-    engine.RunUntil(options.duration);
-    engine.Finish();
-  }
+  net.RunUntil(options.duration);
 
   result.events_processed = net.TotalEventsProcessed();
   for (FlowId f : flows) result.delivered_bytes += net.flow_stats(f).delivered_bytes;

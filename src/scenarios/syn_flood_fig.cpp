@@ -14,10 +14,7 @@ SynFloodFigResult RunSynFloodFig(const SynFloodFigOptions& options) {
       .SampleModes(dataplane::mode::kSynDefense)
       .Record(options.recorder);
   BuiltScenario s = builder.Build();
-  sim::RunOptions run;
-  run.duration = options.duration;
-  run.shards = options.shards;
-  RunScenario(s, run);
+  s.net->RunUntil(options.duration);
 
   SynFloodFigResult r;
   r.sessions = static_cast<int>(s.sessions.size());

@@ -24,9 +24,6 @@ struct SynFloodFigOptions {
   SynFloodFigParams flood;  // rate 0 = control run
   /// Deploy the INT trio alongside the defense (FastFlex only).
   bool enable_int = false;
-  /// 0 = legacy single-threaded run; >= 1 = run under a ShardedEngine (see
-  /// Fig3Options::shards).
-  int shards = 0;
   /// When set, the run is fully instrumented; the recorder then carries the
   /// "syn" telemetry section plus "synfig.*" result gauges, all a pure
   /// function of (options, seed).

@@ -1,19 +1,10 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "sim/exec_context.h"
-#include "telemetry/shard_sink.h"
 
 namespace fastflex::sim {
 
-ExecContext& CurrentExec() {
-  thread_local ExecContext exec;
-  return exec;
-}
-
-std::uint32_t EventQueue::Park(std::int64_t ctx, Callback&& fn) {
+std::uint32_t EventQueue::Park(Callback&& fn) {
   std::uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -22,8 +13,7 @@ std::uint32_t EventQueue::Park(std::int64_t ctx, Callback&& fn) {
     slot = free_.back();
     free_.pop_back();
   }
-  slots_[slot].ctx = ctx;
-  slots_[slot].fn = std::move(fn);
+  slots_[slot] = std::move(fn);
   return slot;
 }
 
@@ -60,17 +50,12 @@ EventQueue::Event EventQueue::PopTop() {
   heap_.pop_back();
   if (!heap_.empty()) SiftDown(0);
   free_.push_back(top.slot);
-  Slot& s = slots_[top.slot];
-  return Event{top.t, top.seq, s.ctx, std::move(s.fn)};
+  return Event{top.t, std::move(slots_[top.slot])};
 }
 
 void EventQueue::ScheduleAt(SimTime t, Callback fn) {
-  ScheduleAtCtx(t, CurrentExec().ctx, std::move(fn));
-}
-
-void EventQueue::ScheduleAtCtx(SimTime t, std::int64_t ctx, Callback fn) {
   if (t < now_) t = now_;
-  heap_.push_back(Key{t, next_seq_++, Park(ctx, std::move(fn))});
+  heap_.push_back(Key{t, next_seq_++, Park(std::move(fn))});
   SiftUp(heap_.size() - 1);
   if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
 }
@@ -82,10 +67,9 @@ void EventQueue::ScheduleBulk(std::vector<TimedEvent> batch) {
   // appending everything and re-heapifying once (Floyd, O(n)) than by
   // sifting each entry up.
   const bool rebuild = batch.size() >= heap_.size() / 4 + 1;
-  const std::int64_t ctx = CurrentExec().ctx;
   for (auto& e : batch) {
     const SimTime t = e.t < now_ ? now_ : e.t;
-    heap_.push_back(Key{t, next_seq_++, Park(ctx, std::move(e.fn))});
+    heap_.push_back(Key{t, next_seq_++, Park(std::move(e.fn))});
     if (!rebuild) SiftUp(heap_.size() - 1);
   }
   if (rebuild && heap_.size() > 1) {
@@ -115,11 +99,6 @@ bool EventQueue::DispatchOne(SimTime cap) {
   Event ev = PopTop();  // pop before firing: the callback may schedule
   now_ = ev.t;
   ++processed_;
-  CurrentExec().ctx = ev.ctx;  // rescheduled timers inherit ownership
-  if (telemetry::ShardSink* sink = telemetry::CurrentShardSink()) [[unlikely]] {
-    sink->ctx = ev.ctx;  // tag captured records with the emitting owner
-    sink->now = ev.t;
-  }
   if (prof_ != nullptr) [[unlikely]] {
     if ((processed_ & 63u) == 0) prof_->QueueOccupancy(heap_.size());
     telemetry::ProfScope scope(prof_, telemetry::ProfSite::kEventDispatch);
@@ -128,20 +107,6 @@ bool EventQueue::DispatchOne(SimTime cap) {
     ev.fn();
   }
   return true;
-}
-
-std::vector<EventQueue::Event> EventQueue::ExtractAll() {
-  std::sort(heap_.begin(), heap_.end(), Before);
-  std::vector<Event> out;
-  out.reserve(heap_.size());
-  for (const Key& k : heap_) {
-    Slot& s = slots_[k.slot];
-    out.push_back(Event{k.t, k.seq, s.ctx, std::move(s.fn)});
-  }
-  heap_.clear();
-  slots_.clear();
-  free_.clear();
-  return out;
 }
 
 void EventQueue::RunAll() {

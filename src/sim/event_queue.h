@@ -1,10 +1,10 @@
 // Discrete-event engine.
 //
 // An explicit binary min-heap of 24-byte (time, insertion sequence, slot)
-// keys.  Each pending event's owner tag and callback are parked in a slot
-// array recycled through a LIFO free list, so a sift moves keys only: a
-// callback is written into its slot once at admission and moved out once
-// when it fires, never relocated while the heap reorders.
+// keys.  Each pending event's callback is parked in a slot array recycled
+// through a LIFO free list, so a sift moves keys only: a callback is
+// written into its slot once at admission and moved out once when it
+// fires, never relocated while the heap reorders.
 //
 // Ordering contract (replay identity depends on it): events pop in
 // ascending time, and events scheduled for the *same* simulated time pop in
@@ -40,18 +40,6 @@ class EventQueue {
     Callback fn;
   };
 
-  /// An event taken off the queue (popped to fire, or extracted).  `ctx` is
-  /// the owner-node tag stamped from the scheduling thread's ExecContext
-  /// (-1 = global); ShardedEngine uses it to migrate pre-scheduled events
-  /// into their owner shards.  Public so ExtractAll can hand events across
-  /// queues without copying callbacks.
-  struct Event {
-    SimTime t;
-    std::uint64_t seq;
-    std::int64_t ctx;
-    Callback fn;
-  };
-
   /// Sentinel returned by PeekTime() on an empty queue.
   static constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
 
@@ -59,11 +47,6 @@ class EventQueue {
 
   /// Schedules `fn` at absolute time `t` (clamped to Now()).
   void ScheduleAt(SimTime t, Callback fn);
-
-  /// ScheduleAt with an explicit owner-node tag instead of the calling
-  /// context's (Network::ScheduleOnNode uses this to pin flow-start chains
-  /// to their source host's shard).
-  void ScheduleAtCtx(SimTime t, std::int64_t ctx, Callback fn);
 
   /// Schedules `fn` after a delay relative to Now().
   void ScheduleAfter(SimTime delay, Callback fn) { ScheduleAt(now_ + delay, std::move(fn)); }
@@ -92,31 +75,14 @@ class EventQueue {
   /// Runs everything (use only in tests with finite event chains).
   void RunAll();
 
-  // ---- Sharded-engine dispatch surface ------------------------------------
-  // ShardedEngine interleaves heap events with channel deliveries under a
-  // per-window time bound, so it needs single-step dispatch instead of
-  // RunUntil's closed loop.  Semantics per event are identical to RunUntil's
-  // body (now_ advance, processed_ count, profiler scope + every-64th
-  // occupancy sample).
-
   /// Time of the earliest pending event, or kNoEvent when empty.
   SimTime PeekTime() const { return heap_.empty() ? kNoEvent : heap_.front().t; }
 
   /// Pops and runs the earliest event if its time is <= `cap`; returns
-  /// whether an event ran.  Sets the calling thread's ExecContext ctx to the
-  /// event's owner tag for the duration of the callback, so rescheduled
-  /// timers inherit ownership.
+  /// whether an event ran.  One step of RunUntil's loop (same Now()
+  /// advance, processed count and profiler sampling), for callers that
+  /// drive the queue event by event.
   bool DispatchOne(SimTime cap);
-
-  /// Advances Now() without running anything (window close / delivery sync).
-  void AdvanceTo(SimTime t) {
-    if (t > now_) now_ = t;
-  }
-
-  /// Removes and returns every pending event in (t, seq) pop order, leaving
-  /// the queue empty.  ShardedEngine calls this once at attach to migrate
-  /// the scenario's pre-scheduled events onto shard queues by ctx tag.
-  std::vector<Event> ExtractAll();
 
   bool Empty() const { return heap_.empty(); }
   std::size_t Pending() const { return heap_.size(); }
@@ -136,7 +102,7 @@ class EventQueue {
 
  private:
   /// A heap entry: the event's (t, seq) order key and the slot holding its
-  /// owner tag and callback.
+  /// callback.
   struct Key {
     SimTime t;
     std::uint64_t seq;
@@ -144,8 +110,9 @@ class EventQueue {
   };
   static_assert(sizeof(Key) == 24);
 
-  struct Slot {
-    std::int64_t ctx;
+  /// An event taken off the queue to fire.
+  struct Event {
+    SimTime t;
     Callback fn;
   };
 
@@ -154,8 +121,8 @@ class EventQueue {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   }
 
-  /// Parks (ctx, fn) in a free slot (or a new one) and returns its index.
-  std::uint32_t Park(std::int64_t ctx, Callback&& fn);
+  /// Parks `fn` in a free slot (or a new one) and returns its index.
+  std::uint32_t Park(Callback&& fn);
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
   /// Removes the earliest event and moves its callback out of its slot,
@@ -170,7 +137,7 @@ class EventQueue {
   std::size_t peak_pending_ = 0;
   telemetry::Profiler* prof_ = nullptr;
   std::vector<Key> heap_;            // binary min-heap under Before()
-  std::vector<Slot> slots_;          // indexed by Key::slot
+  std::vector<Callback> slots_;      // indexed by Key::slot
   std::vector<std::uint32_t> free_;  // LIFO: the hottest slot is reused first
 };
 

@@ -28,13 +28,9 @@ Packet ControlPacket(PacketKind kind, FlowId flow, Address src, Address dst,
 TcpListener::TcpListener(Network* net, Host* host, TcpListenerConfig config)
     : net_(net), host_(host), config_(config), alive_(std::make_shared<bool>(true)) {
   std::weak_ptr<bool> weak = alive_;
-  // Pin the sweep chain to the listening host's shard: the constructor runs
-  // at build/coordinator time, but Sweep touches listener state owned by
-  // the host's worker.  Re-arms from inside Sweep inherit the context.
-  net_->ScheduleOnNode(host_->id(), net_->Now() + config_.sweep_period,
-                       [this, weak] {
-                         if (!weak.expired()) Sweep();
-                       });
+  net_->events().ScheduleAfter(config_.sweep_period, [this, weak] {
+    if (!weak.expired()) Sweep();
+  });
 }
 
 TcpListener::~TcpListener() { *alive_ = false; }

@@ -5,27 +5,12 @@
 
 #include "sim/handshake.h"
 #include "sim/host.h"
-#include "sim/sharded_engine.h"
 #include "sim/switch_node.h"
 #include "sim/tcp.h"
 #include "sim/udp.h"
 #include "util/logging.h"
 
 namespace fastflex::sim {
-
-namespace {
-
-// splitmix64 finalizer: turns (run seed, entity kind, entity id) into an
-// independent-looking stream seed.  Depends only on the entity identity, so
-// per-entity draw sequences are the same for every shard count.
-std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t salt, std::uint64_t id) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (salt * 1'000'003ull + id + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Network::Network(Topology topo, std::uint64_t seed)
     : topo_(std::move(topo)), rng_(seed), seed_(seed), link_rt_(topo_.NumLinks()) {
@@ -44,30 +29,6 @@ Network::Network(Topology topo, std::uint64_t seed)
 
 Network::~Network() = default;
 
-Rng& Network::rng_for_link(LinkId link) {
-  if (shard_engine_ == nullptr) return rng_;  // legacy: shared stream, old traces
-  auto& slot = link_rngs_[static_cast<std::size_t>(link)];
-  if (slot == nullptr) slot = std::make_unique<Rng>(MixSeed(seed_, 1, static_cast<std::uint64_t>(link)));
-  return *slot;
-}
-
-Rng& Network::rng_for_node(NodeId node) {
-  if (shard_engine_ == nullptr) return rng_;
-  auto& slot = node_rngs_[static_cast<std::size_t>(node)];
-  if (slot == nullptr) slot = std::make_unique<Rng>(MixSeed(seed_, 2, static_cast<std::uint64_t>(node)));
-  return *slot;
-}
-
-void Network::ScheduleOnNode(NodeId node, SimTime at, EventQueue::Callback fn) {
-  if (shard_engine_ != nullptr) {
-    shard_engine_->ScheduleOnNode(node, at, std::move(fn));
-    return;
-  }
-  // Same behavior as events_.ScheduleAt apart from the ownership tag (which
-  // single-threaded dispatch ignores), so legacy runs are unchanged.
-  events_.ScheduleAtCtx(at, node, std::move(fn));
-}
-
 SwitchNode* Network::switch_at(NodeId id) {
   return topo_.node(id).kind == NodeKind::kSwitch
              ? static_cast<SwitchNode*>(nodes_[static_cast<std::size_t>(id)].get())
@@ -85,16 +46,11 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
   const auto& info = topo_.link(link);
   const SimTime now = Now();
   const std::uint32_t size = pkt.size_bytes;
-  // Sharded capture: registry counters/series are shared across workers, so
-  // while a sink is installed the drop hooks count into it instead (summed
-  // back at Finish).  FlightRecorder::Record redirects internally.
-  telemetry::ShardSink* sink = telemetry::CurrentShardSink();
 
   if (!rt.up) {
     ++rt.down_drops;
     if (telem_ != nullptr) {
-      if (sink != nullptr) [[unlikely]] ++sink->link_down_drops;
-      else hooks_.link_down_drops->Inc();
+      hooks_.link_down_drops->Inc();
       telem_->flight().Record(now, telemetry::FlightKind::kLinkDrop, link, size, 1);
     }
     return;
@@ -103,16 +59,14 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
   // Injected probabilistic faults (control-channel loss, corruption).  One
   // predictable branch on the fault-free hot path; rng draws happen only
   // while a fault window is open, so fault-free runs stay bit-identical to
-  // their pre-fault traces.  Sharded runs draw from the link's own stream
-  // so the sequence is independent of how other links interleave.
+  // their pre-fault traces.
   if (rt.fault_active) [[unlikely]] {
-    Rng& r = rng_for_link(link);
-    if (rt.corrupt_prob > 0.0 && r.Bernoulli(rt.corrupt_prob)) {
+    if (rt.corrupt_prob > 0.0 && rng_.Bernoulli(rt.corrupt_prob)) {
       ++rt.corrupt_drops;
       return;
     }
     if (rt.probe_loss > 0.0 && pkt.kind == PacketKind::kProbe &&
-        r.Bernoulli(rt.probe_loss)) {
+        rng_.Bernoulli(rt.probe_loss)) {
       ++rt.probe_loss_drops;
       return;
     }
@@ -123,13 +77,8 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
     ++rt.dropped_packets;
     rt.dropped_bytes += size;
     if (telem_ != nullptr) {
-      if (sink != nullptr) [[unlikely]] {
-        ++sink->link_drops;
-        sink->drop_series.Add(now, 1.0);
-      } else {
-        hooks_.link_drops->Inc();
-        hooks_.drop_series->Add(now, 1.0);
-      }
+      hooks_.link_drops->Inc();
+      hooks_.drop_series->Add(now, 1.0);
       telem_->flight().Record(now, telemetry::FlightKind::kLinkDrop, link, size, 0);
     }
     return;
@@ -157,11 +106,7 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
   rt.tx_packets += 1;
   rt.tx_bytes += size;
 
-  // Tx-completion bookkeeping runs wherever the sender runs: events() is
-  // the calling context's queue, so under sharding the link's runtime state
-  // stays single-writer (its from-node's shard, or the coordinator at a
-  // barrier).
-  events().ScheduleAt(depart, [this, link, size] {
+  events_.ScheduleAt(depart, [this, link, size] {
     auto& r = link_rt_[static_cast<std::size_t>(link)];
     r.queued_bytes -= size;
     // Utilization accounting happens at transmission completion, so a burst
@@ -172,12 +117,6 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
       r.spike_latched = false;
     }
   });
-  if (shard_engine_ != nullptr) {
-    // Sharded delivery: through the link's channel, so the receiving shard
-    // merges it deterministically against its own events (shard_channel.h).
-    shard_engine_->StageDelivery(link, arrive, std::move(pkt));
-    return;
-  }
   // Park the packet in a pooled slot; the delivery closure carries only
   // the handle, so it stays within the callback's inline capture budget.
   // Zero allocations per hop once the pool and the event queue are warm.
@@ -230,9 +169,7 @@ FlowId Network::StartTcpFlow(NodeId src, NodeId dst, const TcpParams& params, Si
   auto sender = std::make_unique<TcpSender>(this, s, flow, d->address(), sport, dport, params);
   TcpSender* sender_ptr = sender.get();
   s->AttachEndpoint(flow, std::move(sender));
-  // Pin the start (and every timer the sender chains from it) to the source
-  // host's shard.
-  ScheduleOnNode(src, at, [sender_ptr] { sender_ptr->Start(); });
+  events_.ScheduleAt(at, [sender_ptr] { sender_ptr->Start(); });
   return flow;
 }
 
@@ -250,7 +187,7 @@ FlowId Network::StartSynSession(NodeId client, NodeId server, const HandshakePar
                                               params);
   HandshakeClient* ep_ptr = ep.get();
   c->AttachEndpoint(flow, std::move(ep));
-  ScheduleOnNode(client, at, [ep_ptr] { ep_ptr->Start(); });
+  events_.ScheduleAt(at, [ep_ptr] { ep_ptr->Start(); });
   return flow;
 }
 
@@ -267,7 +204,7 @@ FlowId Network::StartUdpFlow(NodeId src, NodeId dst, const UdpParams& params, Si
   auto sender = std::make_unique<UdpSender>(this, s, flow, d->address(), sport, dport, params);
   UdpSender* sender_ptr = sender.get();
   s->AttachEndpoint(flow, std::move(sender));
-  ScheduleOnNode(src, at, [sender_ptr] { sender_ptr->Start(); });
+  events_.ScheduleAt(at, [sender_ptr] { sender_ptr->Start(); });
   return flow;
 }
 
@@ -296,52 +233,9 @@ void Network::RecordGoodput(FlowId flow, std::uint64_t bytes) {
 void Network::RecordRetransmit(FlowId flow) {
   ++flow_stats_[flow].retransmits;
   if (telem_ != nullptr) {
-    if (telemetry::ShardSink* sink = telemetry::CurrentShardSink()) [[unlikely]] {
-      ++sink->retransmits;
-      sink->retx_series.Add(Now(), 1.0);
-      return;
-    }
     hooks_.retransmits->Inc();
     hooks_.retx_series->Add(Now(), 1.0);
   }
-}
-
-void Network::MergeSinkTelemetry(const std::vector<const telemetry::ShardSink*>& sinks) {
-  // Summable shadows: plain addition (order-free).
-  std::uint64_t link_drops = 0, link_down_drops = 0, retransmits = 0, policy = 0;
-  for (const auto* s : sinks) {
-    link_drops += s->link_drops;
-    link_down_drops += s->link_down_drops;
-    retransmits += s->retransmits;
-    policy += s->policy_drops;
-  }
-  policy_drops_ += policy;
-  if (telem_ == nullptr) return;
-  hooks_.link_drops->Inc(link_drops);
-  hooks_.link_down_drops->Inc(link_down_drops);
-  hooks_.retransmits->Inc(retransmits);
-  hooks_.policy_drops->Inc(policy);
-  for (const auto* s : sinks) {
-    for (std::size_t i = 0; i < s->drop_series.NumBins(); ++i) {
-      const double v = s->drop_series.BinTotal(i);
-      if (v != 0.0) hooks_.drop_series->Add(s->drop_series.BinStart(i), v);
-    }
-    for (std::size_t i = 0; i < s->retx_series.NumBins(); ++i) {
-      const double v = s->retx_series.BinTotal(i);
-      if (v != 0.0) hooks_.retx_series->Add(s->retx_series.BinStart(i), v);
-    }
-  }
-  // cwnd-on-loss is a Welford summary — order-sensitive — so the tagged
-  // samples replay in canonical (t, owner) order, making the result
-  // independent of the shard count (same argument as shard_sink.h).
-  std::vector<telemetry::ShardSink::CwndSample> cwnd;
-  for (const auto* s : sinks) cwnd.insert(cwnd.end(), s->cwnd.begin(), s->cwnd.end());
-  std::stable_sort(cwnd.begin(), cwnd.end(),
-                   [](const telemetry::ShardSink::CwndSample& a,
-                      const telemetry::ShardSink::CwndSample& b) {
-                     return a.t != b.t ? a.t < b.t : a.ctx < b.ctx;
-                   });
-  for (const auto& c : cwnd) hooks_.cwnd_on_loss->Add(c.cwnd);
 }
 
 void Network::SetTelemetry(telemetry::Recorder* recorder) {
@@ -398,11 +292,6 @@ void Network::CollectTelemetry(telemetry::Recorder& recorder) const {
   m.GetCounter("flows.retransmits").Set(retx);
   m.GetCounter("events.processed").Set(TotalEventsProcessed());
   m.GetGauge("sim.now_seconds").Set(ToSeconds(Now()));
-  // Pool and event-heap internals are partition-dependent by nature (each
-  // shard has its own pool and queue, and how work splits across them is
-  // exactly what varies with K), so a sharded run omits them — the
-  // byte-identity contract covers the keys that remain.
-  if (was_sharded_) return;
   // Packet-arena health: slots == high-water in-flight packets; recycled /
   // acquires == how hard the freelist works.  Deterministic per seed.
   m.GetCounter("net.pool.acquires").Set(pool_.acquires());

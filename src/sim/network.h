@@ -9,11 +9,9 @@
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/exec_context.h"
 #include "sim/packet.h"
 #include "sim/packet_pool.h"
 #include "sim/topology.h"
-#include "telemetry/shard_sink.h"
 #include "telemetry/telemetry.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -24,7 +22,6 @@ namespace fastflex::sim {
 class Node;
 class SwitchNode;
 class Host;
-class ShardedEngine;
 
 /// Dynamic per-link state: transmission scheduling, drop-tail queue, stats.
 struct LinkRuntime {
@@ -116,30 +113,12 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// The event queue of the calling execution context: the worker's shard
-  /// queue when running under a ShardedEngine dispatch loop, else the
-  /// global queue.  Node/endpoint code schedules through this, so timers
-  /// land on the scheduling entity's own shard automatically.
-  EventQueue& events() {
-    ExecContext& ec = CurrentExec();
-    return ec.queue != nullptr ? *ec.queue : events_;
-  }
-  SimTime Now() const {
-    const ExecContext& ec = CurrentExec();
-    return ec.queue != nullptr ? ec.queue->Now() : events_.Now();
-  }
+  /// The run's event queue.  Node/endpoint code schedules through this.
+  EventQueue& events() { return events_; }
+  SimTime Now() const { return events_.Now(); }
 
-  /// The run's shared generator.  Legal only from single-threaded contexts
-  /// (build, legacy runs, coordinator globals at a barrier); shard-context
-  /// code must draw from rng_for_link / rng_for_node instead.
+  /// The run's shared random generator.
   Rng& rng() { return rng_; }
-
-  /// Per-entity deterministic streams, used by shard-context draw sites so
-  /// a draw sequence depends only on the entity's own history (and is
-  /// therefore independent of the shard count).  Outside a sharded run
-  /// both return the shared generator, preserving legacy traces.
-  Rng& rng_for_link(LinkId link);
-  Rng& rng_for_node(NodeId node);
 
   /// The run seed the network was built with.  Deployment code derives
   /// per-run secrets from it (hash-structure salts, mode-flood auth keys)
@@ -249,17 +228,8 @@ class Network {
   /// Address -> host node id resolution.
   NodeId HostByAddress(Address a) const;
 
-  /// Runs the simulation until `t` on the legacy single-threaded path.
-  /// Byte-for-byte identical to historical behavior; sharded runs go
-  /// through ShardedEngine::RunUntil instead.
+  /// Runs the simulation until `t`: the one way a run executes.
   void RunUntil(SimTime t) { events_.RunUntil(t); }
-
-  /// Schedules `fn` at `at` pinned to `node`'s execution context: under a
-  /// sharded engine it lands on the node's owner shard; otherwise it is
-  /// ScheduleAt with an explicit owner tag (so a later engine attach can
-  /// migrate it).  Flow-start chains and per-host timers use this — the
-  /// callback will run on the thread that owns the node's state.
-  void ScheduleOnNode(NodeId node, SimTime at, EventQueue::Callback fn);
 
   // Internal: receivers call this when in-order payload bytes are delivered.
   void RecordGoodput(FlowId flow, std::uint64_t bytes);
@@ -268,12 +238,6 @@ class Network {
 
   std::uint64_t total_policy_drops() const { return policy_drops_; }
   void CountPolicyDrop() {
-    // Sharded capture: the member and the registry counter are shared, so
-    // shard workers count into their private sink; sums fold in at Finish.
-    if (telemetry::ShardSink* sink = telemetry::CurrentShardSink()) [[unlikely]] {
-      ++sink->policy_drops;
-      return;
-    }
     ++policy_drops_;
     if (telem_ != nullptr) hooks_.policy_drops->Inc();
   }
@@ -288,17 +252,12 @@ class Network {
   void SetTelemetry(telemetry::Recorder* recorder);
   telemetry::Recorder* telemetry() const { return telem_; }
 
-  /// Topology-region label with two consumers: the profiler's per-region
-  /// event-density attribution, and — since the sharded engine — the
-  /// PARTITIONING RULE: ShardedEngine groups whole regions onto shards, so
-  /// this label decides which thread owns a node.  It is still deliberately
-  /// separate from SwitchNode::region() (which scopes mode-probe flooding
-  /// and therefore changes protocol behavior), and it still must not affect
-  /// single-threaded simulation results; but it is no longer purely
-  /// observational.  ShardedEngine validates at construction that the
-  /// assigned labels form a dense set (every label in [min, min+R) used)
-  /// and fails fast with a clear error otherwise.  Scenario builders assign
-  /// it; unassigned nodes default to region 0.
+  /// Topology-region label for the profiler's per-region event-density
+  /// attribution.  Purely observational: it never affects simulation
+  /// results, and it is deliberately separate from SwitchNode::region()
+  /// (which scopes mode-probe flooding and therefore changes protocol
+  /// behavior).  Scenario builders assign it; unassigned nodes default to
+  /// region 0.
   void set_node_region(NodeId id, std::uint32_t region) {
     const auto i = static_cast<std::size_t>(id);
     if (i >= node_region_.size()) node_region_.resize(i + 1, 0);
@@ -309,11 +268,9 @@ class Network {
     return i < node_region_.size() ? node_region_[i] : 0;
   }
 
-  /// The profiler hook for the calling context: the per-shard instance
-  /// when running under a sharded engine (the shared one would be a data
-  /// race across workers), else the cached attach-time pointer.  Non-null
-  /// only while profiling is enabled.  Nodes use it for their ProfScopes.
-  telemetry::Profiler* profiler() const { return telemetry::ResolveProf(prof_); }
+  /// The profiler cached at attach time: non-null only while profiling is
+  /// enabled.  Nodes use it for their ProfScopes.
+  telemetry::Profiler* profiler() const { return prof_; }
 
   /// Snapshots per-link runtime counters, per-switch forwarding counters,
   /// and aggregate flow statistics into `recorder`'s registry.  Call at the
@@ -325,29 +282,14 @@ class Network {
   // no recorder is attached).
   void RecordCwndSample(double cwnd) {
     if (telem_ == nullptr) return;
-    // The registry Summary is order-sensitive (Welford): shard workers
-    // buffer tagged samples; MergeSinkTelemetry replays them in canonical
-    // (t, owner) order so the summary is byte-identical for any K.
-    if (telemetry::ShardSink* sink = telemetry::CurrentShardSink()) [[unlikely]] {
-      sink->cwnd.push_back(telemetry::ShardSink::CwndSample{Now(), sink->ctx, cwnd});
-      return;
-    }
     hooks_.cwnd_on_loss->Add(cwnd);
   }
 
-  /// Total events dispatched across the run: the global queue's count plus
-  /// (after a sharded run) shard heap events and channel deliveries.
-  std::uint64_t TotalEventsProcessed() const { return events_.processed() + extra_events_; }
+  /// Total events dispatched across the run.
+  std::uint64_t TotalEventsProcessed() const { return events_.processed(); }
 
  private:
-  friend class ShardedEngine;
-
   void SampleLinks(SimTime period);
-
-  /// Folds the per-shard sinks' summable shadows back into the registry
-  /// hooks and members (counters by addition, series bin-wise, cwnd by
-  /// canonical-order replay).  Called once by ShardedEngine::Finish.
-  void MergeSinkTelemetry(const std::vector<const telemetry::ShardSink*>& sinks);
 
   /// Metrics resolved once at SetTelemetry so per-packet updates are plain
   /// pointer increments (references into the registry stay valid).
@@ -364,13 +306,7 @@ class Network {
   Topology topo_;
   EventQueue events_;
   Rng rng_;
-  std::uint64_t seed_;  // kept for deriving per-entity streams (sharded mode)
-  // Per-entity generators, created lazily on first draw from a shard
-  // context; each slot is touched only by its entity's owner shard (or the
-  // coordinator at a barrier), so no lock is needed.  Sized at engine
-  // attach; empty in legacy runs.
-  std::vector<std::unique_ptr<Rng>> link_rngs_;
-  std::vector<std::unique_ptr<Rng>> node_rngs_;
+  std::uint64_t seed_;
   PacketPool pool_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<LinkRuntime> link_rt_;
@@ -383,11 +319,8 @@ class Network {
   std::uint64_t policy_drops_ = 0;
   telemetry::Recorder* telem_ = nullptr;
   telemetry::Profiler* prof_ = nullptr;  // non-null only when enabled at attach
-  std::vector<std::uint32_t> node_region_;  // region labels (profiler + sharding)
+  std::vector<std::uint32_t> node_region_;  // profiler region labels
   TelemetryHooks hooks_;
-  ShardedEngine* shard_engine_ = nullptr;  // non-null while attached
-  bool was_sharded_ = false;  // a sharded engine ran: omit K-dependent export keys
-  std::uint64_t extra_events_ = 0;  // shard heap events + deliveries (set at Finish)
 };
 
 }  // namespace fastflex::sim

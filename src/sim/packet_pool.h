@@ -9,15 +9,10 @@
 // performs zero per-hop allocations regardless of how many packets are in
 // flight.
 //
-// Thread model: a pool has exactly one owning execution context.  The
-// legacy chain is one pool per Network per experiment cell, so pools are
+// Thread model: one pool per Network per experiment cell, so pools are
 // single-threaded by construction; the parallel experiment runner
 // (fastflex::exp) gets its per-worker isolation from that ownership chain
-// (DESIGN.md §7).  Under a ShardedEngine each SHARD owns a private pool
-// with the same single-owner discipline: a packet is parked by the
-// receiving shard (same-shard sends stage directly; cross-shard packets
-// travel by value and never touch a pool), so Acquire/Get/Release for one
-// pool all happen on its shard's thread (or the coordinator at a barrier).
+// (DESIGN.md §7).
 //
 // Recycled slots are reset field-by-field before reuse: stale tags, probe
 // payloads, and INT hop stacks must never leak into the next packet (the

@@ -2,8 +2,6 @@
 
 #include <fstream>
 
-#include "telemetry/shard_sink.h"
-
 namespace fastflex::telemetry {
 
 const char* FlightKindName(FlightKind kind) {
@@ -66,27 +64,7 @@ std::string EscapeReason(const std::string& s) {
 
 }  // namespace
 
-void FlightRecorder::RebuildFromCanonical(const std::vector<FlightRecord>& records,
-                                          std::uint64_t true_total) {
-  ring_.clear();
-  next_ = 0;
-  const std::size_t keep = records.size() > capacity_ ? capacity_ : records.size();
-  ring_.assign(records.end() - static_cast<std::ptrdiff_t>(keep), records.end());
-  if (ring_.size() == capacity_) next_ = 0;  // oldest-first layout: next overwrite at 0
-  total_ = true_total;
-  overwritten_ = true_total > capacity_ ? true_total - capacity_ : 0;
-}
-
 std::string FlightRecorder::RequestDump(const std::string& reason, SimTime t) {
-  if (ShardSink* sink = CurrentShardSink(); sink != nullptr && sink->ctx >= 0) {
-    // Worker context: this thread's ring holds only its own shard's
-    // records.  Queue the request; the engine executes it at the next
-    // coordinator barrier against the canonical merged ring.
-    ShardSinkDumpRequest(*sink, reason, t);
-    return "{\"schema\":\"fastflex.flight.v1\",\"deferred\":true,\"reason\":\"" +
-           EscapeReason(reason) + "\",\"t\":" + std::to_string(t) + "}";
-  }
-  if (pre_dump_hook_) pre_dump_hook_();
   std::string out = "{\"schema\":\"fastflex.flight.v1\"";
   out += ",\"reason\":\"" + EscapeReason(reason) + "\"";
   out += ",\"t\":" + std::to_string(t);

@@ -20,30 +20,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "util/types.h"
 
 namespace fastflex::telemetry {
-
-struct ShardSink;
-struct FlightRecord;
-
-/// The calling thread's shard-capture sink, or nullptr — which it is in
-/// every run outside sim::ShardedEngine.  Defined in shard_sink.cpp; the
-/// recording classes below divert into it so sharded runs stay race-free
-/// and byte-identical to K=1 (see shard_sink.h).
-ShardSink* CurrentShardSink();
-
-/// Out-of-line capture of one flight record into `sink` (shard_sink.cpp).
-void ShardSinkFlight(ShardSink& sink, const FlightRecord& rec);
-
-/// Queues a dump request on `sink` for the engine to execute at the next
-/// coordinator barrier (shard_sink.cpp).  A worker thread must not cut a
-/// dump itself: it sees only its own shard's ring.
-void ShardSinkDumpRequest(ShardSink& sink, const std::string& reason, SimTime t);
 
 enum class FlightKind : std::uint8_t {
   kModeFlip,      // a = node, b = new mode word, c = epoch
@@ -79,10 +61,6 @@ class FlightRecorder {
   void Record(SimTime t, FlightKind kind, std::int64_t a = -1, std::int64_t b = -1,
               std::int64_t c = -1) {
     const FlightRecord rec{t, kind, a, b, c};
-    if (ShardSink* sink = CurrentShardSink()) [[unlikely]] {
-      ShardSinkFlight(*sink, rec);
-      return;
-    }
     if (ring_.size() < capacity_) {
       ring_.push_back(rec);
     } else {
@@ -96,30 +74,7 @@ class FlightRecorder {
   /// Snapshots the ring as a JSON dump tagged with `reason`, keeps it as
   /// last_dump(), appends it to dump_path() when one is set, and marks the
   /// cut with a kDump record.  Returns the dump document.
-  ///
-  /// Called from a sharded-engine WORKER context (a shard sink with a node
-  /// ctx is installed), the dump is instead deferred: the request is queued
-  /// on the worker's sink and executed by the engine at the next
-  /// coordinator barrier, where the canonical merged ring exists — a worker
-  /// ring alone holds only its own shard's records.  The deferred call
-  /// returns a small "deferred" notice document; the real dump lands in
-  /// last_dump()/dump_path() at the barrier, byte-identical for any shard
-  /// count.
   std::string RequestDump(const std::string& reason, SimTime t = 0);
-
-  /// Invoked at the top of RequestDump when set.  The sharded engine
-  /// installs a hook that rebuilds the ring from the per-shard sinks (via
-  /// RebuildFromCanonical) so a mid-run dump sees the canonical merged
-  /// tail, not whatever happened to be recorded before the engine attached.
-  /// The engine clears the hook at Finish.
-  void set_pre_dump_hook(std::function<void()> hook) { pre_dump_hook_ = std::move(hook); }
-
-  /// Replaces the ring with the last `capacity()` of `records` (which must
-  /// already be in canonical order) and restores the counters a single
-  /// ring fed every record would show: total = `true_total`, overwritten =
-  /// max(0, true_total - capacity).  Bypasses the shard-sink redirect.
-  void RebuildFromCanonical(const std::vector<FlightRecord>& records,
-                            std::uint64_t true_total);
 
   /// Mirrors every subsequent dump to `path` (one JSON document per line).
   void set_dump_path(const std::string& path) { dump_path_ = path; }
@@ -153,7 +108,6 @@ class FlightRecorder {
   std::size_t dumps_ = 0;
   std::string last_dump_;
   std::string dump_path_;
-  std::function<void()> pre_dump_hook_;
 };
 
 }  // namespace fastflex::telemetry

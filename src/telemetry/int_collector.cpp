@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "telemetry/shard_sink.h"
-
 namespace fastflex::telemetry {
 
 namespace {
@@ -43,13 +41,6 @@ SimTime IntJourney::PathLatency() const {
 }
 
 void IntCollector::Ingest(IntJourney journey) {
-  // Sharded capture: flow/hop aggregation is ingest-order-sensitive (path
-  // churn, recent ring), so journeys are buffered per worker and replayed
-  // in canonical (t, ctx) order at the engine's Finish.
-  if (ShardSink* sink = CurrentShardSink()) [[unlikely]] {
-    sink->journeys.push_back(ShardSink::TaggedJourney{sink->now, sink->ctx, std::move(journey)});
-    return;
-  }
   ++journeys_;
   records_ += journey.hops.size();
   dropped_hop_records_ += journey.dropped_hops;

@@ -82,39 +82,6 @@ Profiler::Node* Profiler::ChildOf(Node* parent, ProfSite site) {
   return &n;
 }
 
-void Profiler::MergeFrom(const Profiler& other) {
-  for (std::size_t s = 0; s < kSiteCount; ++s) site_calls_[s] += other.site_calls_[s];
-  // Walk the other tree in creation order: parents are always created
-  // before their children, so by the time a node is visited its parent's
-  // counterpart in this tree already exists in `map`.
-  if (!other.nodes_.empty()) {
-    if (nodes_.capacity() < kMaxNodes) nodes_.reserve(kMaxNodes);
-    std::vector<Node*> map(other.nodes_.size(), nullptr);
-    for (std::size_t i = 0; i < other.nodes_.size(); ++i) {
-      const Node& theirs = other.nodes_[i];
-      Node* parent = nullptr;
-      if (theirs.parent != nullptr) parent = map[theirs.parent - other.nodes_.data()];
-      Node* mine = ChildOf(parent, theirs.site);
-      map[i] = mine;
-      mine->samples += theirs.samples;
-      mine->sampled_ns += theirs.sampled_ns;
-    }
-  }
-  if (!other.regions_.empty()) {
-    if (regions_.size() < other.regions_.size()) regions_.resize(other.regions_.size());
-    for (std::size_t r = 0; r < other.regions_.size(); ++r) {
-      const RegionStat& theirs = other.regions_[r];
-      RegionStat& mine = regions_[r];
-      mine.events += theirs.events;
-      if (mine.bins.size() < theirs.bins.size()) mine.bins.resize(theirs.bins.size(), 0);
-      for (std::size_t b = 0; b < theirs.bins.size(); ++b) mine.bins[b] += theirs.bins[b];
-    }
-  }
-  occupancy_.Merge(other.occupancy_);
-  export_ns_ += other.export_ns_;
-  region_tick_ += other.region_tick_;
-}
-
 bool Profiler::HasData() const {
   for (std::size_t s = 0; s < kSiteCount; ++s) {
     if (site_calls_[s] > 0) return true;
@@ -177,8 +144,8 @@ std::string Profiler::ToJsonSection(bool include_wall) const {
          ",\"max\":" + NumToJson(occupancy_.max()) + "}";
 
   // Per-region event density: exact delivery totals plus a 100 ms binned
-  // series subsampled at density_stride — the partitioning evidence for a
-  // sharded engine.  Regions that saw no deliveries are omitted.
+  // series subsampled at density_stride.  Regions that saw no deliveries
+  // are omitted.
   out += ",\"regions\":[";
   first = true;
   for (std::size_t r = 0; r < regions_.size(); ++r) {

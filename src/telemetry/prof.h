@@ -27,15 +27,20 @@
 // to leave on the per-packet pipeline walk (the bench gate pins
 // profiler-on overhead at <= 1.05x there).
 //
-// Estimator: entries are sampled uniformly at 1/stride (top-level sites
-// directly; nested sites by riding their ancestors' samples), so
-// est_ns = sampled_ns * stride estimates a node's total inclusive time.
-// The stride is a power of two — workloads with matching power-of-two
-// periodicity could alias against it; no such pattern exists in the event
-// loop, but it is the standard caveat for strided samplers (DESIGN.md
-// §10).  The sampling decision depends only on deterministic counters, so
-// WHICH entries get sampled — and therefore the tree shape and every
-// count — is a pure function of the run; only the nanoseconds are not.
+// Estimator: each sample stands for the entries it was drawn from.  A
+// tree node's samples all ride samples of its top-level ancestor (the
+// root), so est_ns = sampled_ns * min(stride, calls(root site) / root
+// samples), and stride when the root has no samples.  The first entry of
+// a site always samples, so plain sampled_ns * stride would multiply a
+// site entered fewer than stride times (the 2-call export) by stride; the
+// calls/samples ratio gives it its true weight, and a busy site's ratio
+// sits near stride, where the cap holds it.  The stride is a power of two
+// — workloads with matching power-of-two periodicity could alias against
+// it; no such pattern exists in the event loop, but it is the standard
+// caveat for strided samplers (DESIGN.md §10).  The sampling decision
+// depends only on deterministic counters, so WHICH entries get sampled —
+// and therefore the tree shape and every count — is a pure function of
+// the run; only the nanoseconds are not.
 //
 // The profiler never schedules events and never draws random numbers:
 // enabling it MUST NOT perturb the simulation (the bench_prof determinism
@@ -45,11 +50,11 @@
 // destination node's topology region (Network::set_node_region, assigned
 // by scenarios).  Per-region totals count every delivery; the 100 ms
 // density series is subsampled at kRegionStride (deterministically — the
-// sampling tick is a pure function of delivery order).  Together they are
-// exactly the input a sharded discrete-event engine needs to choose a
-// partitioning — see ROADMAP "Scale the simulator itself".
+// sampling tick is a pure function of delivery order).  Together they show
+// where in the fabric a run's events land, and when.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -169,22 +174,21 @@ class Profiler {
     return n == nullptr ? -1 : n - nodes_.data();
   }
 
-  /// Estimated total inclusive nanoseconds of a node: every sample stands
-  /// for `stride` entries (see the estimator note in the header comment).
+  /// Estimated total inclusive nanoseconds of a node: its sampled time
+  /// times min(stride, calls/samples of its top-level ancestor) (see the
+  /// estimator note in the header comment).
   double EstimateNs(const Node& n) const {
-    return static_cast<double>(n.sampled_ns) * static_cast<double>(stride());
+    const Node* root = &n;
+    while (root->parent != nullptr) root = root->parent;
+    double weight = static_cast<double>(stride());
+    if (root->samples > 0) {
+      weight = std::min(weight, static_cast<double>(CallsAt(root->site)) /
+                                    static_cast<double>(root->samples));
+    }
+    return static_cast<double>(n.sampled_ns) * weight;
   }
 
   bool HasData() const;
-
-  /// Folds another profiler's data into this one: exact site counts, tree
-  /// samples/nanoseconds (matched by sampled-ancestor chain), region
-  /// tallies and density bins, occupancy summary, export time.  The
-  /// sharded engine gives each shard a private profiler and merges them
-  /// here at Finish — the prof section is exempt from the byte-identity
-  /// contract (wall clock is machine-dependent anyway), so the parallel
-  /// Welford merge and shard-dependent sampling phase are acceptable.
-  void MergeFrom(const Profiler& other);
 
   /// The "prof" JSON section.  With `include_wall` false every
   /// machine-dependent field (sampled_ns, est_ns, export_ns) is omitted,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/shard_sink.h"
-
 namespace fastflex::telemetry {
 
 std::int64_t TraceEvent::Field(std::string_view key, std::int64_t fallback) const {
@@ -14,12 +12,7 @@ std::int64_t TraceEvent::Field(std::string_view key, std::int64_t fallback) cons
 }
 
 void Tracer::Event(SimTime t, std::string name, Fields fields) {
-  TraceEvent ev{t, std::move(name), {fields.begin(), fields.end()}};
-  if (ShardSink* sink = CurrentShardSink()) [[unlikely]] {
-    sink->trace_events.push_back(ShardSink::TaggedTraceEvent{sink->ctx, std::move(ev)});
-    return;
-  }
-  events_.push_back(std::move(ev));
+  events_.push_back(TraceEvent{t, std::move(name), {fields.begin(), fields.end()}});
 }
 
 std::uint64_t Tracer::OpenSpan(SimTime t, std::string name, Fields fields) {

@@ -58,10 +58,6 @@ class Tracer {
 
   void Event(SimTime t, std::string name, Fields fields = {});
 
-  /// Appends a prebuilt point event directly, bypassing the shard-sink
-  /// redirect — the canonical-replay path of the sharded merge.
-  void Append(TraceEvent ev) { events_.push_back(std::move(ev)); }
-
   /// Opens a span at `t`; returns an id for CloseSpan.
   std::uint64_t OpenSpan(SimTime t, std::string name, Fields fields = {});
 

@@ -19,14 +19,6 @@ class Summary {
  public:
   void Add(double x);
 
-  /// Folds another summary in (parallel Welford / Chan et al.).  Mean and
-  /// variance are combined exactly up to floating-point association — the
-  /// result can differ in low-order bits from a single-stream Add sequence,
-  /// so Merge is reserved for sections exempt from byte-identity (the
-  /// sharded engine merges per-shard profiler occupancy this way; replay-
-  /// pinned summaries are rebuilt by replaying samples in canonical order).
-  void Merge(const Summary& other);
-
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
   double variance() const;

@@ -140,7 +140,9 @@ TEST(ElasticTest, QuietEpochsTearDownToDefaultProgram) {
   for (NodeId sw : d.Switches()) {
     EXPECT_FALSE(d.orch->BoosterInstalled(sw, "syn_mitigation")) << sw;
     auto it = d.elastic->loop_installed().find(sw);
-    if (it != d.elastic->loop_installed().end()) EXPECT_TRUE(it->second.empty());
+    if (it != d.elastic->loop_installed().end()) {
+      EXPECT_TRUE(it->second.empty());
+    }
   }
   const auto& totals = d.elastic->totals();
   EXPECT_EQ(totals.teardowns, totals.scale_ups);

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/exec_context.h"
 #include "util/rng.h"
 
 namespace fastflex::sim {
@@ -205,15 +204,14 @@ TEST(EventQueueTest, FiredCallbackIsDestroyedBeforeTheNextEventRuns) {
 
 // ---- Differential test against an ordered-map reference model ------------
 //
-// Every event carries an id; firing logs (id, Now(), the thread's exec ctx).
-// Ids divisible by 4 spawn a child from inside their callback, so admission
-// interleaves with dispatch and the slot array can grow mid-callback; ids
-// divisible by 3 capture more than the inline budget (boxed callbacks).
+// Every event carries an id; firing logs (id, Now()).  Ids divisible by 4
+// spawn a child from inside their callback, so admission interleaves with
+// dispatch and the slot array can grow mid-callback; ids divisible by 3
+// capture more than the inline budget (boxed callbacks).
 
 struct Fired {
   int id;
   SimTime t;
-  std::int64_t ctx;
 };
 
 constexpr int kChildOffset = 1'000'000;
@@ -235,42 +233,36 @@ struct Harness {
   }
 
   void Fire(int id) {
-    log.push_back({id, q.Now(), CurrentExec().ctx});
+    log.push_back({id, q.Now()});
     if (Spawns(id)) q.ScheduleAt(q.Now() + ChildDelay(id), Make(ChildOf(id)));
   }
 };
 
 // The queue's contract restated over a std::map keyed by (t, seq).
 struct Model {
-  struct Entry {
-    int id;
-    std::int64_t ctx;
-  };
-  std::map<std::pair<SimTime, std::uint64_t>, Entry> pending;
+  std::map<std::pair<SimTime, std::uint64_t>, int> pending;  // (t, seq) -> id
   SimTime now = 0;
   std::uint64_t next_seq = 0;
   std::uint64_t processed = 0;
   std::size_t peak = 0;
-  std::int64_t exec_ctx = -1;  // DispatchOne leaves it at the fired event's tag
   std::vector<Fired> log;
 
   SimTime Front() const {
     return pending.empty() ? EventQueue::kNoEvent : pending.begin()->first.first;
   }
 
-  void Admit(SimTime t, std::int64_t ctx, int id) {
-    pending.emplace(std::pair{std::max(t, now), next_seq++}, Entry{id, ctx});
+  void Admit(SimTime t, int id) {
+    pending.emplace(std::pair{std::max(t, now), next_seq++}, id);
     peak = std::max(peak, pending.size());
   }
 
-  void Fire(bool sets_ctx) {
-    const auto [key, e] = *pending.begin();
+  void Fire() {
+    const auto [key, id] = *pending.begin();
     pending.erase(pending.begin());
     now = key.first;
     ++processed;
-    if (sets_ctx) exec_ctx = e.ctx;
-    log.push_back({e.id, now, exec_ctx});
-    if (Spawns(e.id)) Admit(now + ChildDelay(e.id), exec_ctx, ChildOf(e.id));
+    log.push_back({id, now});
+    if (Spawns(id)) Admit(now + ChildDelay(id), ChildOf(id));
   }
 };
 
@@ -285,16 +277,12 @@ void ExpectSameState(const Harness& h, const Model& m, std::size_t& checked) {
   for (; checked < m.log.size(); ++checked) {
     ASSERT_EQ(h.log[checked].id, m.log[checked].id) << "pop " << checked;
     ASSERT_EQ(h.log[checked].t, m.log[checked].t) << "pop " << checked;
-    ASSERT_EQ(h.log[checked].ctx, m.log[checked].ctx) << "pop " << checked;
   }
 }
 
 TEST(EventQueueTest, MatchesOrderedMapModelUnderMixedOperations) {
-  ExecContext& exec = CurrentExec();
-  const std::int64_t saved_ctx = exec.ctx;
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(seed);
-    exec.ctx = -1;
     Rng rng(seed);
     Harness h;
     Model m;
@@ -302,61 +290,39 @@ TEST(EventQueueTest, MatchesOrderedMapModelUnderMixedOperations) {
     int next_id = 1;
     for (int step = 0; step < 3000; ++step) {
       const std::int64_t op = rng.UniformInt(0, 99);
-      if (op < 30) {  // may land in the past: clamps to Now()
+      if (op < 45) {  // may land in the past: clamps to Now()
         const SimTime t = m.now + rng.UniformInt(-5, 40);
         const int id = next_id++;
-        m.Admit(t, m.exec_ctx, id);
+        m.Admit(t, id);
         h.q.ScheduleAt(t, h.Make(id));
-      } else if (op < 45) {
-        const SimTime t = m.now + rng.UniformInt(-5, 40);
-        const std::int64_t ctx = rng.UniformInt(-1, 7);
-        const int id = next_id++;
-        m.Admit(t, ctx, id);
-        h.q.ScheduleAtCtx(t, ctx, h.Make(id));
       } else if (op < 52) {  // sizes straddle the sift-up / rebuild cut-off
         std::vector<EventQueue::TimedEvent> batch;
         const std::int64_t n = rng.UniformInt(1, 40);
         for (std::int64_t i = 0; i < n; ++i) {
           const SimTime t = m.now + rng.UniformInt(-5, 60);
           const int id = next_id++;
-          m.Admit(t, m.exec_ctx, id);
+          m.Admit(t, id);
           batch.push_back({t, h.Make(id)});
         }
         h.q.ScheduleBulk(std::move(batch));
       } else if (op < 80) {
         const SimTime cap = m.now + rng.UniformInt(-2, 20);
         const bool runs = m.Front() <= cap;
-        if (runs) m.Fire(/*sets_ctx=*/true);
+        if (runs) m.Fire();
         ASSERT_EQ(h.q.DispatchOne(cap), runs);
-      } else if (op < 97) {
+      } else {
         const SimTime until = m.now + rng.UniformInt(-2, 30);
-        while (m.Front() <= until) m.Fire(/*sets_ctx=*/false);
+        while (m.Front() <= until) m.Fire();
         m.now = std::max(m.now, until);
         h.q.RunUntil(until);
-      } else {  // extract everything, then admit it back in pop order
-        std::vector<EventQueue::Event> events = h.q.ExtractAll();
-        ASSERT_TRUE(h.q.Empty());
-        ASSERT_EQ(events.size(), m.pending.size());
-        auto old = std::move(m.pending);
-        m.pending.clear();
-        std::size_t i = 0;
-        for (const auto& [key, e] : old) {
-          EventQueue::Event& ev = events[i++];
-          ASSERT_EQ(ev.t, key.first);
-          ASSERT_EQ(ev.seq, key.second);
-          ASSERT_EQ(ev.ctx, e.ctx);
-          m.Admit(ev.t, ev.ctx, e.id);
-          h.q.ScheduleAtCtx(ev.t, ev.ctx, std::move(ev.fn));
-        }
       }
       ExpectSameState(h, m, checked);
       if (HasFatalFailure()) break;
     }
-    while (!m.pending.empty()) m.Fire(/*sets_ctx=*/false);
+    while (!m.pending.empty()) m.Fire();
     h.q.RunAll();
     ExpectSameState(h, m, checked);
   }
-  exec.ctx = saved_ctx;
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ SweepSpec SmallFig3Spec() {
   grid.defenses = {scenarios::DefenseKind::kNone,
                    scenarios::DefenseKind::kFastFlex};
   grid.seeds_per_defense = 2;
-  grid.run.duration = 8 * kSecond;
+  grid.duration = 8 * kSecond;
   grid.attack_at = 3 * kSecond;
   grid.attack_flows = 30;
   return BuildFig3Sweep("unit_grid", 42, grid);

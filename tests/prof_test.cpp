@@ -5,6 +5,7 @@
 // sections, large-count histograms).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <string>
 
@@ -66,8 +67,9 @@ TEST(Profiler, StrideOneSamplesEveryEntry) {
     ProfScope scope(prof.enabled_self(), ProfSite::kHostStack);
   }
   for (const auto& n : prof.nodes()) {
-    if (n.site == ProfSite::kHostStack && n.parent == nullptr)
+    if (n.site == ProfSite::kHostStack && n.parent == nullptr) {
       EXPECT_EQ(n.samples, 10u);
+    }
   }
 }
 
@@ -169,6 +171,39 @@ TEST(Profiler, EstimateScalesSampledTimeByStride) {
   Profiler::Node n;
   n.sampled_ns = 1000;
   EXPECT_DOUBLE_EQ(prof.EstimateNs(n), 256000.0);
+}
+
+TEST(Profiler, RareTopLevelSiteEstimatesItsCallsNotTheStride) {
+  // A site entered twice at top level samples its first entry only, so
+  // that one sample stands for 2 entries, not 256.  A node nested in the
+  // sample shares its root's weight.
+  Profiler prof;
+  prof.Enable(256);
+  auto busy = [] {  // long enough for the clock to advance
+    const auto t0 = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - t0 < std::chrono::microseconds(20)) {
+    }
+  };
+  for (int i = 0; i < 2; ++i) {
+    ProfScope scope(prof.enabled_self(), ProfSite::kExport);
+    busy();
+    ProfScope nested(prof.enabled_self(), ProfSite::kHostStack);
+    busy();
+  }
+  const Profiler::Node* root = nullptr;
+  const Profiler::Node* child = nullptr;
+  for (const auto& n : prof.nodes()) {
+    if (n.site == ProfSite::kExport && n.parent == nullptr) root = &n;
+    if (n.site == ProfSite::kHostStack && n.parent != nullptr) child = &n;
+  }
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(child, nullptr);
+  EXPECT_EQ(prof.CallsAt(ProfSite::kExport), 2u);
+  ASSERT_EQ(root->samples, 1u);
+  ASSERT_GT(root->sampled_ns, 0u);
+  ASSERT_GT(child->sampled_ns, 0u);
+  EXPECT_DOUBLE_EQ(prof.EstimateNs(*root), 2.0 * static_cast<double>(root->sampled_ns));
+  EXPECT_DOUBLE_EQ(prof.EstimateNs(*child), 2.0 * static_cast<double>(child->sampled_ns));
 }
 
 // ---------------------------------------------------------- FlightRecorder

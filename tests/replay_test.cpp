@@ -4,13 +4,15 @@
 // TCP dynamics, mode protocol, and the exporter — as a replayable function
 // of (options, seed).  The SYN-flood replay's short run also checks what
 // the export says about the split proxy: each per-switch counter copied
-// from its module.
+// from its module.  The scale-fabric replay pins the no-defense ring the
+// benchmark's ring_tcp workload runs.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "scenarios/builder.h"
 #include "scenarios/fig3.h"
+#include "scenarios/scale_fig3.h"
 #include "scenarios/syn_flood_fig.h"
 #include "telemetry/export.h"
 #include "telemetry/telemetry.h"
@@ -130,9 +132,7 @@ TEST(Replay, SynModuleCountersCopiedPerSwitch) {
                         .SampleModes(dataplane::mode::kSynDefense)
                         .Record(&rec)
                         .Build();
-  sim::RunOptions run;
-  run.duration = opt.duration;
-  RunScenario(s, run);
+  s.net->RunUntil(opt.duration);
   // A switch without the module has no key for it.
   const NodeId bare = s.h.m1;
   ASSERT_TRUE(s.orchestrator->pipeline(bare)->Uninstall("seq_translate"));
@@ -210,6 +210,31 @@ TEST(Replay, SynModuleCountersCopiedPerSwitch) {
   EXPECT_EQ(sum(".syn_proxy.filter_insert_failures"), r.filter_insert_failures);
   EXPECT_EQ(sum(".syn_proxy.policed_drops"), r.policed_drops);
   EXPECT_EQ(sum(".seq_translate.seq_translated"), r.seq_translated);
+}
+
+TEST(Replay, ScaleFabricSameSeedBitIdentical) {
+  // ring_tcp's fabric (16 regions x 8 clients), shortened to 2 s: every TCP
+  // flow has started and the ring links carry cross-region load.
+  auto opts = [](telemetry::Recorder* rec) {
+    ScaleFig3Options opt;
+    opt.seed = 7;
+    opt.duration = 2 * kSecond;
+    opt.regions = 16;
+    opt.clients_per_region = 8;
+    opt.recorder = rec;
+    return opt;
+  };
+  telemetry::Recorder rec1;
+  const ScaleFig3Result r1 = RunScaleFig3(opts(&rec1));
+  telemetry::Recorder rec2;
+  const ScaleFig3Result r2 = RunScaleFig3(opts(&rec2));
+
+  const std::string json1 = telemetry::ToJson(rec1);
+  EXPECT_EQ(json1, telemetry::ToJson(rec2)) << "same-seed scale-fabric replay diverged";
+  EXPECT_GT(r1.delivered_bytes, 0u);
+  EXPECT_EQ(r1.delivered_bytes, r2.delivered_bytes);
+  EXPECT_EQ(r1.events_processed, r2.events_processed);
+  EXPECT_NE(json1.find("\"scale.delivered_bytes\""), std::string::npos);
 }
 
 TEST(Replay, DifferentSeedsDiverge) {

@@ -10,8 +10,11 @@ ring summary.
 
 Reading the numbers:
   - calls are exact (every site entry increments a flat counter);
-  - est_ns = sampled_ns * stride estimates a tree node's total inclusive
-    wall time (entries sample uniformly at 1/stride);
+  - est_ns estimates a tree node's total inclusive wall time as
+    sampled_ns * min(stride, calls / samples of its top-level ancestor):
+    each sample stands for the entries it was drawn from, so a site with
+    fewer calls than the stride (the first entry always samples) is
+    weighted by its calls, not by the stride;
   - a site entered below an un-sampled ancestor appears both as a
     top-level node and as a child node — the per-site rollup merges the
     two, the tree view keeps them apart.
@@ -65,7 +68,7 @@ def main():
     have_wall = any("est_ns" in n for n in tree)
 
     print(f"# Profiler report: {args.export_json}")
-    print(f"stride {stride} (each sample stands for {stride} entries); "
+    print(f"stride {stride} (each sample stands for up to {stride} entries); "
           f"{len(tree)} tree nodes; "
           f"{sum(sites.values())} site entries recorded")
     if not have_wall:
@@ -114,7 +117,7 @@ def main():
               f"mean {mean:.1f}, max {mx:.0f} pending")
         print()
 
-    # ---- Region event density (the sharding evidence) ----
+    # ---- Region event density (where in the fabric events land) ----
     regions = prof.get("regions", [])
     if regions:
         total_ev = sum(r["events"] for r in regions) or 1
