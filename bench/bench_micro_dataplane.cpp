@@ -3,12 +3,15 @@
 // These are the operations a switch executes per packet (or per transfer
 // word); their costs justify the paper's claim that the defenses run "at
 // hardware speeds" — in this software model they bound the simulator's
-// throughput.
+// throughput.  Micro M2 (solver scalability: TE, joint analysis, cluster
+// packing) rides at the end.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
+#include "analyzer/analyzer.h"
+#include "boosters/registry.h"
 #include "boosters/shared_ppms.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
@@ -20,6 +23,9 @@
 #include "dataplane/meter.h"
 #include "dataplane/pipeline.h"
 #include "dataplane/sketch.h"
+#include "scenarios/fattree.h"
+#include "scheduler/placement.h"
+#include "scheduler/te.h"
 #include "telemetry/telemetry.h"
 #include "util/rng.h"
 
@@ -319,6 +325,67 @@ void BM_EventQueueSchedule(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueSchedule)->Arg(0)->Arg(1);
+
+// ---- Micro M2: solver scalability (TE, joint analysis, cluster packing) ----
+
+void BM_TeSolve_FatTree(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  auto ft = scenarios::BuildFatTree(k);
+  std::vector<scheduler::Demand> demands;
+  for (std::size_t i = 1; i < ft.hosts.size(); ++i) {
+    demands.push_back(
+        {ft.hosts[i], ft.hosts[i % 3], 10e6 * (1 + i % 4), static_cast<FlowId>(i)});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scheduler::SolveTe(ft.topo, demands));
+  }
+  state.counters["demands"] = static_cast<double>(demands.size());
+  state.counters["switches"] =
+      static_cast<double>(ft.core.size() + ft.aggregation.size() + ft.edge.size());
+}
+BENCHMARK(BM_TeSolve_FatTree)->Arg(4)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
+
+void BM_MergeAnalysis(benchmark::State& state) {
+  // Joint analysis cost vs number of boosters (replicated suites emulate
+  // third-party booster ecosystems).
+  auto specs = boosters::SpecsFor(boosters::FullBoosterSuite());
+  const auto base = specs;
+  for (int copy = 1; copy < state.range(0); ++copy) {
+    for (auto spec : base) {
+      spec.name += "_v" + std::to_string(copy);
+      // Perturb one parameter so copies are not fully shareable.
+      if (!spec.ppms.empty() && !spec.ppms[1].signature.params.empty()) {
+        spec.ppms[1].signature.params[0] += static_cast<std::uint64_t>(copy);
+      }
+      specs.push_back(std::move(spec));
+    }
+  }
+  for (auto _ : state) {
+    auto merged = analyzer::Merge(specs);
+    benchmark::DoNotOptimize(analyzer::ClusterGraph(merged, DefaultSwitchCapacity()));
+  }
+  state.counters["boosters"] = static_cast<double>(specs.size());
+}
+BENCHMARK(BM_MergeAnalysis)->Arg(1)->Arg(4)->Arg(16);
+
+void BM_PlaceClusters_FatTree(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  auto ft = scenarios::BuildFatTree(k);
+  std::vector<sim::Path> paths;
+  for (std::size_t i = 1; i < ft.hosts.size(); ++i) {
+    paths.push_back(ft.topo.ShortestPath(ft.hosts[i], ft.hosts[0]));
+  }
+  const auto merged = analyzer::Merge(boosters::SpecsFor(boosters::FullBoosterSuite()));
+  scheduler::PlacementOptions options;
+  const auto clusters = analyzer::ClusterGraph(
+      merged, options.switch_capacity - options.routing_reserve);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scheduler::PlaceClusters(ft.topo, clusters, paths, options));
+  }
+  state.counters["switches"] =
+      static_cast<double>(ft.core.size() + ft.aggregation.size() + ft.edge.size());
+}
+BENCHMARK(BM_PlaceClusters_FatTree)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

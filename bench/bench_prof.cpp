@@ -20,9 +20,8 @@
 //      differ; the simulation and every replay-pinned section may not.
 //      Exit 1 if they diverge.
 //   4. Writes BENCH_prof.json: deterministic counters from the prof-on
-//      run (call counts, tree shape, region tallies, flight totals) that
-//      the compare gate pins exactly, plus ratios/timing for the
-//      threshold gates.
+//      run (call counts, tree shape, flight totals) that the compare
+//      gate pins exactly, plus ratios/timing for the threshold gates.
 //
 // Not a google-benchmark binary: the determinism assert and the in-run
 // on/off ratios are the point, not ns/op resolution.
@@ -193,12 +192,6 @@ int main() {
   // ---- 4. The gated artifact ----
   const telemetry::Profiler& prof = prof_rec->prof();
   const telemetry::FlightRecorder& flight = prof_rec->flight();
-  std::uint64_t region_events = 0;
-  std::uint64_t active_regions = 0;  // the pre-sized array is mostly empty
-  for (const auto& r : prof.regions()) {
-    region_events += r.events;
-    if (r.events > 0) ++active_regions;
-  }
 
   std::ofstream out("BENCH_prof.json", std::ios::binary);
   out << "{\n"
@@ -215,8 +208,6 @@ int main() {
       << "    \"host_calls\": " << prof.CallsAt(telemetry::ProfSite::kHostStack) << ",\n"
       << "    \"mode_calls\": " << prof.CallsAt(telemetry::ProfSite::kModeProtocol) << ",\n"
       << "    \"occupancy_samples\": " << prof.occupancy().count() << ",\n"
-      << "    \"regions\": " << active_regions << ",\n"
-      << "    \"region_events\": " << region_events << ",\n"
       << "    \"flight_records\": " << flight.total() << ",\n"
       << "    \"nonprof_doc_bytes\": " << doc_on.size() << "\n"
       << "  },\n"

@@ -31,7 +31,7 @@ struct RerouteConfig {
   double improve_eps = 0.02; // re-advertise only on meaningful improvement
   /// Ablation: with sticky=false every packet chases the instantaneous best
   /// path, which herds the whole suspect aggregate onto one detour per
-  /// probe round (measured in bench_ablation_rerouting).
+  /// probe round (measured in bench_paper's a2 block).
   bool sticky = true;
 };
 

@@ -83,17 +83,6 @@ BuiltScenario ScenarioBuilder::Build() {
   s.net = std::make_unique<sim::Network>(s.h.topo, seed_);
   s.net->EnableLinkSampling(10 * kMillisecond);
 
-  // Region labels: 1 = left edge + traffic sources, 2 = core middle paths,
-  // 3 = right aggregation + victim/decoy side.  They drive only the
-  // profiler's event-density attribution — distinct from SwitchNode::region,
-  // which scopes mode floods.
-  for (NodeId n : {s.h.a, s.h.b, s.h.e}) s.net->set_node_region(n, 1);
-  for (NodeId n : s.h.clients) s.net->set_node_region(n, 1);
-  for (NodeId n : s.h.bots) s.net->set_node_region(n, 1);
-  for (NodeId n : {s.h.m1, s.h.m2, s.h.m3}) s.net->set_node_region(n, 2);
-  for (NodeId n : {s.h.r, s.h.rv, s.h.rd, s.h.victim}) s.net->set_node_region(n, 3);
-  for (NodeId n : s.h.decoys) s.net->set_node_region(n, 3);
-
   if (recorder_ != nullptr) s.net->SetTelemetry(recorder_);
 
   if (syn_set_) {

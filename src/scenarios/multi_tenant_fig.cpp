@@ -116,18 +116,6 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
   net.EnableLinkSampling(10 * kMillisecond);
   net.SetTelemetry(rec);
 
-  // Profiler region labels follow the ring (1..R); tenant extras ride
-  // with their region.
-  for (int r = 0; r < R; ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    for (NodeId n : {agg[i], edge[i], server[i]}) net.set_node_region(n, r + 1);
-    for (NodeId c : clients[i]) net.set_node_region(c, r + 1);
-  }
-  for (NodeId b : bots) net.set_node_region(b, lfa_region + 1);
-  net.set_node_region(dedge, lfa_region + 1);
-  for (NodeId d : decoys) net.set_node_region(d, lfa_region + 1);
-  for (NodeId b : syn_bots) net.set_node_region(b, syn_region + 1);
-
   // ---- Background load + TE demands: region r downloads from the next
   // ring region (skipping the SYN victim, whose only legitimate load is the
   // handshake sessions the attack targets) ----

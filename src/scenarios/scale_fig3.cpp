@@ -48,13 +48,6 @@ ScaleFig3Result RunScaleFig3(const ScaleFig3Options& options) {
   }
 
   sim::Network net(topo, options.seed);
-  for (int r = 0; r < R; ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    net.set_node_region(agg[i], r + 1);
-    net.set_node_region(edge[i], r + 1);
-    net.set_node_region(server[i], r + 1);
-    for (NodeId c : clients[i]) net.set_node_region(c, r + 1);
-  }
   if (options.recorder != nullptr) net.SetTelemetry(options.recorder);
   control::InstallDstRoutes(net);
 

@@ -124,7 +124,6 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
   const PacketPool::Handle h = pool_.Acquire();
   *pool_.Get(h) = std::move(pkt);
   events_.ScheduleAt(arrive, [this, to, link, h] {
-    if (prof_ != nullptr) [[unlikely]] prof_->RegionEvent(node_region(to), Now());
     nodes_[static_cast<std::size_t>(to)]->Receive(std::move(*pool_.Get(h)), link);
     pool_.Release(h);
   });

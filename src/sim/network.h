@@ -252,22 +252,6 @@ class Network {
   void SetTelemetry(telemetry::Recorder* recorder);
   telemetry::Recorder* telemetry() const { return telem_; }
 
-  /// Topology-region label for the profiler's per-region event-density
-  /// attribution.  Purely observational: it never affects simulation
-  /// results, and it is deliberately separate from SwitchNode::region()
-  /// (which scopes mode-probe flooding and therefore changes protocol
-  /// behavior).  Scenario builders assign it; unassigned nodes default to
-  /// region 0.
-  void set_node_region(NodeId id, std::uint32_t region) {
-    const auto i = static_cast<std::size_t>(id);
-    if (i >= node_region_.size()) node_region_.resize(i + 1, 0);
-    node_region_[i] = region;
-  }
-  std::uint32_t node_region(NodeId id) const {
-    const auto i = static_cast<std::size_t>(id);
-    return i < node_region_.size() ? node_region_[i] : 0;
-  }
-
   /// The profiler cached at attach time: non-null only while profiling is
   /// enabled.  Nodes use it for their ProfScopes.
   telemetry::Profiler* profiler() const { return prof_; }
@@ -319,7 +303,6 @@ class Network {
   std::uint64_t policy_drops_ = 0;
   telemetry::Recorder* telem_ = nullptr;
   telemetry::Profiler* prof_ = nullptr;  // non-null only when enabled at attach
-  std::vector<std::uint32_t> node_region_;  // profiler region labels
   TelemetryHooks hooks_;
 };
 

@@ -51,16 +51,6 @@ void Profiler::Enable(std::uint32_t stride) {
   for (std::size_t s = 0; s < kSiteCount; ++s) {
     (void)ChildOf(nullptr, static_cast<ProfSite>(s));
   }
-  // Size the region array once so the per-delivery tally is branch-free
-  // (beyond the clamp); empty regions are skipped at export.
-  regions_.resize(kMaxRegions);
-}
-
-void Profiler::RegionBinSample(std::uint32_t region, SimTime t) {
-  RegionStat& r = regions_[region];
-  const auto bin = static_cast<std::size_t>(t / kDensityBin);
-  if (bin >= r.bins.size()) r.bins.resize(bin + 1, 0);
-  ++r.bins[bin];
 }
 
 Profiler::Node* Profiler::ChildOf(Node* parent, ProfSite site) {
@@ -86,11 +76,7 @@ bool Profiler::HasData() const {
   for (std::size_t s = 0; s < kSiteCount; ++s) {
     if (site_calls_[s] > 0) return true;
   }
-  if (!nodes_.empty() || occupancy_.count() > 0) return true;
-  for (const auto& r : regions_) {
-    if (r.events > 0) return true;
-  }
-  return false;
+  return !nodes_.empty() || occupancy_.count() > 0;
 }
 
 std::string Profiler::PathOf(std::size_t node_index) const {
@@ -142,27 +128,6 @@ std::string Profiler::ToJsonSection(bool include_wall) const {
   out += ",\"queue_occupancy\":{\"samples\":" + std::to_string(occupancy_.count()) +
          ",\"mean\":" + NumToJson(occupancy_.mean()) +
          ",\"max\":" + NumToJson(occupancy_.max()) + "}";
-
-  // Per-region event density: exact delivery totals plus a 100 ms binned
-  // series subsampled at density_stride.  Regions that saw no deliveries
-  // are omitted.
-  out += ",\"regions\":[";
-  first = true;
-  for (std::size_t r = 0; r < regions_.size(); ++r) {
-    const RegionStat& rs = regions_[r];
-    if (rs.events == 0) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "{\"region\":" + std::to_string(r) + ",\"events\":" + std::to_string(rs.events) +
-           ",\"density_bin_s\":" + NumToJson(ToSeconds(kDensityBin)) +
-           ",\"density_stride\":" + std::to_string(kRegionStride) + ",\"density\":[";
-    for (std::size_t i = 0; i < rs.bins.size(); ++i) {
-      if (i > 0) out += ",";
-      out += std::to_string(rs.bins[i]);
-    }
-    out += "]}";
-  }
-  out += "]";
 
   if (include_wall) {
     out += ",\"export_ns\":" + std::to_string(export_ns_);

@@ -1,11 +1,11 @@
 // Continuous self-profiler: where does a simulation run spend its wall
-// clock, and where in the fabric do the events land?
+// clock?
 //
 // Two kinds of data, with very different determinism properties:
 //
-//  - COUNTS (site entry counts, per-region event tallies, event-queue
-//    occupancy samples, which entries get sampled): pure functions of the
-//    simulated run.  Same seed, same counts, on any machine.
+//  - COUNTS (site entry counts, event-queue occupancy samples, which
+//    entries get sampled): pure functions of the simulated run.  Same
+//    seed, same counts, on any machine.
 //  - WALL CLOCK (sampled nanoseconds per tree node): machine- and load-
 //    dependent by nature.  These never enter the MetricsRegistry, the
 //    trace, or any replay-pinned telemetry section — they live only in the
@@ -45,13 +45,6 @@
 // The profiler never schedules events and never draws random numbers:
 // enabling it MUST NOT perturb the simulation (the bench_prof determinism
 // flag pins non-prof sections byte-identical with profiling on vs off).
-//
-// Region density: Network attributes each packet-hop delivery to the
-// destination node's topology region (Network::set_node_region, assigned
-// by scenarios).  Per-region totals count every delivery; the 100 ms
-// density series is subsampled at kRegionStride (deterministically — the
-// sampling tick is a pure function of delivery order).  Together they show
-// where in the fabric a run's events land, and when.
 #pragma once
 
 #include <algorithm>
@@ -92,18 +85,6 @@ class Profiler {
   /// is reserved up front to this cap, so node pointers are stable — the
   /// sampled path links nodes by pointer, not index.
   static constexpr std::size_t kMaxNodes = 1024;
-  /// Region event-density bin width.  A compile-time constant so the
-  /// per-sample bin computation strength-reduces to a multiply.
-  static constexpr SimTime kDensityBin = 100 * kMillisecond;
-  /// Region array size, fixed at Enable so the per-delivery tally needs no
-  /// bounds/resize branch.  Regions at or past the cap clamp to the last
-  /// slot (scenario region counts are single digits; the cap is headroom).
-  static constexpr std::uint32_t kMaxRegions = 256;
-  /// Density-bin sampling stride: every kRegionStride-th delivery (by a
-  /// profiler-wide tick, so the pattern is deterministic) lands in a bin.
-  /// Exact per-region totals still count every delivery; only the binned
-  /// series is subsampled.
-  static constexpr std::uint32_t kRegionStride = 64;
 
   /// One node of the attribution tree: a site reached through a distinct
   /// chain of SAMPLED ancestors.  A site that is usually entered below an
@@ -116,11 +97,6 @@ class Profiler {
     std::uint64_t samples = 0;     // deterministic
     std::uint64_t sampled_ns = 0;  // WALL CLOCK — prof section only
     Node* child[kSiteCount];       // nullptr = not yet visited
-  };
-
-  struct RegionStat {
-    std::uint64_t events = 0;         // exact per-hop deliveries (every one)
-    std::vector<std::uint64_t> bins;  // sampled deliveries per kDensityBin bin
   };
 
   Profiler();
@@ -138,16 +114,6 @@ class Profiler {
 
   // ---- Hot-path API (call only through a cached enabled_self()) ----
 
-  /// Attributes one delivered packet-hop event to `region` at sim time `t`.
-  /// Hot path (every delivery): one clamp, one exact tally, one tick test.
-  /// The density-bin update runs only on sampled ticks, out of line.
-  void RegionEvent(std::uint32_t region, SimTime t) {
-    if (region >= kMaxRegions) [[unlikely]] region = kMaxRegions - 1;
-    ++regions_[region].events;
-    if ((region_tick_++ & (kRegionStride - 1)) == 0) [[unlikely]]
-      RegionBinSample(region, t);
-  }
-
   /// Event-queue occupancy observed at a sampled dispatch (deterministic:
   /// which dispatches sample is a pure function of the dispatch counter).
   void QueueOccupancy(std::size_t pending) {
@@ -161,7 +127,6 @@ class Profiler {
   // ---- Introspection / export ----
 
   const std::vector<Node>& nodes() const { return nodes_; }
-  const std::vector<RegionStat>& regions() const { return regions_; }
   const Summary& occupancy() const { return occupancy_; }
 
   /// Exact entries recorded at `site` (every entry, sampled or not).
@@ -206,9 +171,6 @@ class Profiler {
   /// nullptr parent means top level.  Out of line: runs only on sampled
   /// entries.
   Node* ChildOf(Node* parent, ProfSite site);
-  /// Adds one sampled delivery to `region`'s density bin for sim time `t`.
-  /// Out of line: runs once per kRegionStride deliveries.
-  void RegionBinSample(std::uint32_t region, SimTime t);
 
   bool enabled_ = false;
   std::uint32_t mask_ = kDefaultStride - 1;
@@ -216,8 +178,6 @@ class Profiler {
   std::uint64_t site_calls_[kSiteCount] = {};  // exact entries per site
   std::vector<Node> nodes_;       // reserved to kMaxNodes: pointers stable
   Node* root_child_[kSiteCount];  // top-level nodes (no sampled ancestor)
-  std::uint64_t region_tick_ = 0;  // deterministic density-sampling tick
-  std::vector<RegionStat> regions_;  // sized kMaxRegions by Enable
   Summary occupancy_;
   std::uint64_t export_ns_ = 0;
 };

@@ -32,11 +32,11 @@ class Recorder {
   IntCollector& int_collector() { return int_; }
   const IntCollector& int_collector() const { return int_; }
 
-  /// Self-profiler (sampled hot-path timers, region event density, queue
-  /// occupancy).  Off by default — call prof().Enable() BEFORE attaching
-  /// the recorder to a network/pipeline (hook sites cache the enabled
-  /// pointer at attach time).  Exported as the "prof" section, which
-  /// replay-identity comparisons exclude because it carries wall clock.
+  /// Self-profiler (sampled hot-path timers, queue occupancy).  Off by
+  /// default — call prof().Enable() BEFORE attaching the recorder to a
+  /// network/pipeline (hook sites cache the enabled pointer at attach
+  /// time).  Exported as the "prof" section, which replay-identity
+  /// comparisons exclude because it carries wall clock.
   Profiler& prof() { return prof_; }
   const Profiler& prof() const { return prof_; }
 

@@ -3,6 +3,8 @@
 // ablations and the mixed-vector (co-existing modes) scenario.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "attacks/generators.h"
 #include "control/orchestrator.h"
 #include "scenarios/fig3.h"
@@ -76,6 +78,26 @@ TEST(Fig3IntegrationTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.policy_drops, b.policy_drops);
 }
 
+TEST(Fig3IntegrationTest, ShortRunIsPrefixOfLongerRun) {
+  // bench_paper reads the Fig. 2 case-study timeline from its 120 s Fig. 3
+  // run rather than from a separate 30 s run.  That holds because a run,
+  // instrumented or not, is an exact prefix of any longer run.
+  telemetry::Recorder rec;
+  auto short_opt = ShortRun(DefenseKind::kFastFlex);
+  short_opt.duration = 30 * kSecond;
+  short_opt.recorder = &rec;
+  const auto s = RunFig3(short_opt);
+  const auto l = RunFig3(ShortRun(DefenseKind::kFastFlex));
+  ASSERT_EQ(s.normalized.size(), 30u);
+  ASSERT_GT(l.normalized.size(), 30u);
+  ASSERT_GT(s.first_alarm, 0);
+  EXPECT_EQ(s.first_alarm, l.first_alarm);
+  EXPECT_EQ(s.modes_active_at, l.modes_active_at);
+  EXPECT_EQ(s.stable_goodput_bps, l.stable_goodput_bps);
+  EXPECT_EQ(s.normalized,
+            std::vector<double>(l.normalized.begin(), l.normalized.begin() + 30));
+}
+
 TEST(Fig3IntegrationTest, SeedsChangeDetailsNotConclusions) {
   auto opt = ShortRun(DefenseKind::kFastFlex);
   opt.seed = 7;
@@ -116,6 +138,21 @@ TEST(AblationTest, FullDefenseQuellsRollingVsNoBlinding) {
   // throughput: without it the attacker's rolling keeps re-disturbing the
   // network.
   EXPECT_GT(r_full.mean_during_attack, r_blind.mean_during_attack + 0.15);
+}
+
+TEST(AblationTest, StickyRerouteAvoidsHerding) {
+  // A2's reroute-alone setting: without obfuscation and dropping the
+  // attacker keeps rolling, so rerouting carries the whole defense.  Best-
+  // path rerouting without flowlet-sticky binding herds the suspect
+  // aggregate onto one detour and collapses it.
+  auto sticky = ShortRun(DefenseKind::kFastFlex);
+  sticky.enable_obfuscation = false;
+  sticky.enable_dropping = false;
+  auto herding = sticky;
+  herding.sticky_reroute = false;
+  const auto r_sticky = RunFig3(sticky);
+  const auto r_herding = RunFig3(herding);
+  EXPECT_GE(r_sticky.mean_during_attack, r_herding.mean_during_attack + 0.15);
 }
 
 TEST(AblationTest, RerouteAllDisturbsNormalFlowsMore) {

@@ -1,6 +1,6 @@
 // Unit tests for the self-observability layer: the sampling profiler
-// (exact site counts, subtree sampling, region density, the deterministic
-// export view), the flight-recorder ring, and the exporter edge cases the
+// (exact site counts, subtree sampling, the deterministic export view),
+// the flight-recorder ring, and the exporter edge cases the
 // replay-identity guarantee leans on (prof section isolation, optional
 // sections, large-count histograms).
 #include <gtest/gtest.h>
@@ -121,21 +121,6 @@ TEST(Profiler, TreeSaturationFallsBackToRootNodes) {
   EXPECT_EQ(prof.CallsAt(ProfSite::kPipelineWalk) +
                 prof.CallsAt(ProfSite::kHostStack),
             2000u);
-}
-
-TEST(Profiler, RegionEventsExactTotalsClampAndBins) {
-  Profiler prof;
-  prof.Enable();
-  for (int i = 0; i < 130; ++i) prof.RegionEvent(5, i * kMillisecond);
-  prof.RegionEvent(Profiler::kMaxRegions + 7, 0);  // clamps to last slot
-  EXPECT_EQ(prof.regions()[5].events, 130u);
-  EXPECT_EQ(prof.regions()[Profiler::kMaxRegions - 1].events, 1u);
-  // Ticks 0, 64, 128 sample into region 5's bins (all land in bin 0:
-  // 129 ms < the 100 ms bin only for the first... t=i ms, so tick 128 is
-  // t=128 ms -> bin 1).
-  std::uint64_t binned = 0;
-  for (auto b : prof.regions()[5].bins) binned += b;
-  EXPECT_EQ(binned, 3u);
 }
 
 TEST(Profiler, QueueOccupancySummary) {
@@ -299,7 +284,6 @@ TEST(Export, NonProfSectionsByteIdenticalProfOnVsOff) {
   {  // profiling activity that must not leak into non-prof sections
     ProfScope s1(on.prof().enabled_self(), ProfSite::kEventDispatch);
     ProfScope s2(on.prof().enabled_self(), ProfSite::kPipelineWalk);
-    on.prof().RegionEvent(1, 2 * kSecond);
     on.prof().QueueOccupancy(17);
   }
   const ExportOptions no_prof{.include_prof = false};

@@ -3,10 +3,9 @@
 
 Input: a full telemetry JSON written with profiling enabled (e.g. the
 TELEMETRY_fig3_prof.json companion artifact of bench_prof), whose "prof"
-section carries the sampled attribution tree, exact per-site call counts,
-event-queue occupancy, and per-region event density.  The optional
-"flight" section (always present on instrumented runs) adds the black-box
-ring summary.
+section carries the sampled attribution tree, exact per-site call counts
+and event-queue occupancy.  The optional "flight" section (always present
+on instrumented runs) adds the black-box ring summary.
 
 Reading the numbers:
   - calls are exact (every site entry increments a flat counter);
@@ -115,23 +114,6 @@ def main():
         mx = occ.get("max")
         print(f"## Event-queue occupancy: {occ['samples']} samples, "
               f"mean {mean:.1f}, max {mx:.0f} pending")
-        print()
-
-    # ---- Region event density (where in the fabric events land) ----
-    regions = prof.get("regions", [])
-    if regions:
-        total_ev = sum(r["events"] for r in regions) or 1
-        print("## Region event density (per-hop deliveries by topology region)")
-        print(f"{'region':>6} {'events':>12}  share   "
-              f"peak-bin (of {regions[0].get('density_bin_s', 0.1):.1f}s bins, "
-              f"1/{regions[0].get('density_stride', 1)} sampled)")
-        for r in regions:
-            dens = r.get("density", [])
-            peak = max(range(len(dens)), key=dens.__getitem__) if dens else -1
-            peak_txt = (f"bin {peak} (t≈{peak * r.get('density_bin_s', 0.1):.1f}s, "
-                        f"{dens[peak]} sampled)" if peak >= 0 else "-")
-            print(f"{r['region']:>6} {r['events']:>12}  "
-                  f"{100 * r['events'] / total_ev:5.1f}%  {peak_txt}")
         print()
 
     # ---- Exporter self-measurement ----
