@@ -273,9 +273,10 @@ BENCHMARK(BM_EventClosureInline);
 void BM_EventQueueHold(benchmark::State& state) {
   // The queue layer's cost per event at a steady pending-set size (the
   // classic hold model): each step pops the earliest event and pushes one
-  // at a random later time, so Arg(0) events stay pending.  The sizes
-  // approximate the perfbench workloads' peak pending sets: 1,913 on
-  // fig3_lfa, 8,121 on syn_flood and 9,155 on ring_tcp.
+  // at a random later time, so Arg(0) events stay pending.  The sizes were
+  // picked near the perfbench workloads' peak pending sets, which lazy link
+  // departures and one RTO timer per sender have since cut to 792 on
+  // fig3_lfa, 929 on ring_tcp and 5,438 on syn_flood.
   const auto pending = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kDelays = 1u << 16;
   Rng rng(7);

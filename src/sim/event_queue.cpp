@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <cassert>
 #include <utility>
 
 namespace fastflex::sim {
@@ -50,14 +51,23 @@ EventQueue::Event EventQueue::PopTop() {
   heap_.pop_back();
   if (!heap_.empty()) SiftDown(0);
   free_.push_back(top.slot);
-  return Event{top.t, std::move(slots_[top.slot])};
+  return Event{top.t, top.seq, std::move(slots_[top.slot])};
+}
+
+void EventQueue::Admit(SimTime t, std::uint64_t seq, Callback&& fn) {
+  heap_.push_back(Key{t, seq, Park(std::move(fn))});
+  SiftUp(heap_.size() - 1);
+  if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
 }
 
 void EventQueue::ScheduleAt(SimTime t, Callback fn) {
   if (t < now_) t = now_;
-  heap_.push_back(Key{t, next_seq_++, Park(std::move(fn))});
-  SiftUp(heap_.size() - 1);
-  if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
+  Admit(t, next_seq_++, std::move(fn));
+}
+
+void EventQueue::ScheduleAt(SimTime t, std::uint64_t seq, Callback fn) {
+  assert(seq < next_seq_ && !Reached(t, seq));
+  Admit(t, seq, std::move(fn));
 }
 
 void EventQueue::ScheduleBulk(std::vector<TimedEvent> batch) {
@@ -78,26 +88,11 @@ void EventQueue::ScheduleBulk(std::vector<TimedEvent> batch) {
   if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
 }
 
-void EventQueue::RunUntil(SimTime until) {
-  while (!heap_.empty() && heap_.front().t <= until) {
-    Event ev = PopTop();  // pop before firing: the callback may schedule
-    now_ = ev.t;
-    ++processed_;
-    if (prof_ != nullptr) [[unlikely]] {
-      if ((processed_ & 63u) == 0) prof_->QueueOccupancy(heap_.size());
-      telemetry::ProfScope scope(prof_, telemetry::ProfSite::kEventDispatch);
-      ev.fn();
-    } else {
-      ev.fn();
-    }
-  }
-  if (now_ < until) now_ = until;
-}
-
-bool EventQueue::DispatchOne(SimTime cap) {
-  if (heap_.empty() || heap_.front().t > cap) return false;
+// Inline: this is the body of RunUntil's loop, the simulator's hottest.
+inline void EventQueue::DispatchTop() {
   Event ev = PopTop();  // pop before firing: the callback may schedule
   now_ = ev.t;
+  reached_seq_ = ev.seq + 1;
   ++processed_;
   if (prof_ != nullptr) [[unlikely]] {
     if ((processed_ & 63u) == 0) prof_->QueueOccupancy(heap_.size());
@@ -106,22 +101,24 @@ bool EventQueue::DispatchOne(SimTime cap) {
   } else {
     ev.fn();
   }
+}
+
+void EventQueue::RunUntil(SimTime until) {
+  while (!heap_.empty() && heap_.front().t <= until) DispatchTop();
+  if (now_ <= until) {
+    now_ = until;
+    reached_seq_ = next_seq_;
+  }
+}
+
+bool EventQueue::DispatchOne(SimTime cap) {
+  if (heap_.empty() || heap_.front().t > cap) return false;
+  DispatchTop();
   return true;
 }
 
 void EventQueue::RunAll() {
-  while (!heap_.empty()) {
-    Event ev = PopTop();
-    now_ = ev.t;
-    ++processed_;
-    if (prof_ != nullptr) [[unlikely]] {
-      if ((processed_ & 63u) == 0) prof_->QueueOccupancy(heap_.size());
-      telemetry::ProfScope scope(prof_, telemetry::ProfSite::kEventDispatch);
-      ev.fn();
-    } else {
-      ev.fn();
-    }
-  }
+  while (!heap_.empty()) DispatchTop();
 }
 
 }  // namespace fastflex::sim

@@ -10,10 +10,17 @@
 // ascending time, and events scheduled for the *same* simulated time pop in
 // insertion order.  The (t, seq) key is a total order — no two events ever
 // compare equal — so the pop sequence is a pure function of the schedule
-// calls and never depends on heap internals (sift order, capacity,
-// std-library version).  The parallel experiment runner's "1 thread vs N
-// threads bit-identical" guarantee reduces to this property, because every
-// worker replays its cells on a private queue.
+// and reserve calls and never depends on heap internals (sift order,
+// capacity, std-library version).  The parallel experiment runner's
+// "1 thread vs N threads bit-identical" guarantee reduces to this property,
+// because every worker replays its cells on a private queue.
+//
+// Reserved keys: ReserveSeq() takes an insertion seq without admitting an
+// event, fixing a place in the (t, seq) order when something happens.  The
+// caller admits an event under that key later (ScheduleAt(t, seq, fn)), or
+// never, and asks Reached(t, seq) whether the key's turn has come.  Links
+// settle their departures this way, with no event per departure, and a TCP
+// sender keeps one RTO timer that moves to its latest armed key.
 //
 // Callbacks are SmallCallback, not std::function: hot-path closures (packet
 // delivery, timers) stay within the inline capture budget, so scheduling an
@@ -50,6 +57,24 @@ class EventQueue {
 
   /// Schedules `fn` after a delay relative to Now().
   void ScheduleAfter(SimTime delay, Callback fn) { ScheduleAt(now_ + delay, std::move(fn)); }
+
+  /// Takes the next insertion seq without admitting an event.  An event
+  /// admitted later under (t, seq) pops exactly where one scheduled at t
+  /// now would have.
+  std::uint64_t ReserveSeq() { return next_seq_++; }
+
+  /// Admits `fn` under a reserved key.  The key must not be reached yet
+  /// (asserted): an event cannot fire before the one now firing.
+  void ScheduleAt(SimTime t, std::uint64_t seq, Callback fn);
+
+  /// Whether an event admitted under (t, seq) would already have fired.
+  /// The queue's position is the key now firing during a dispatch, the key
+  /// last fired after DispatchOne or RunAll, and (until, every seq reserved
+  /// so far) after RunUntil(until) returns; before any run, nothing at
+  /// t = 0 is reached.
+  bool Reached(SimTime t, std::uint64_t seq) const {
+    return t != now_ ? t < now_ : seq < reached_seq_;
+  }
 
   /// Bulk-schedule fast path: admits a whole batch, assigning insertion
   /// sequence numbers in batch order (so same-time entries fire in batch
@@ -113,6 +138,7 @@ class EventQueue {
   /// An event taken off the queue to fire.
   struct Event {
     SimTime t;
+    std::uint64_t seq;
     Callback fn;
   };
 
@@ -130,9 +156,15 @@ class EventQueue {
   /// grow the slot array), and its captures die with the returned Event,
   /// before the next event fires.
   Event PopTop();
+  /// Pops the earliest event and runs it: the one dispatch path behind
+  /// RunUntil, DispatchOne and RunAll.
+  void DispatchTop();
+  void Admit(SimTime t, std::uint64_t seq, Callback&& fn);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
+  // Keys at now_ with a seq below this have been reached (see Reached).
+  std::uint64_t reached_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::size_t peak_pending_ = 0;
   telemetry::Profiler* prof_ = nullptr;

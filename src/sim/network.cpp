@@ -13,7 +13,11 @@
 namespace fastflex::sim {
 
 Network::Network(Topology topo, std::uint64_t seed)
-    : topo_(std::move(topo)), rng_(seed), seed_(seed), link_rt_(topo_.NumLinks()) {
+    : topo_(std::move(topo)),
+      rng_(seed),
+      seed_(seed),
+      link_rt_(topo_.NumLinks()),
+      departures_(topo_.NumLinks()) {
   // Pre-size the event heap so steady traffic never reallocates mid-run.
   events_.Reserve(4096);
   nodes_.reserve(topo_.NumNodes());
@@ -73,6 +77,7 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
   }
 
   // Drop-tail admission on the (bytes-denominated) transmit queue.
+  Settle(link);
   if (rt.queued_bytes + size > info.queue_bytes) {
     ++rt.dropped_packets;
     rt.dropped_bytes += size;
@@ -86,8 +91,8 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
   rt.queued_bytes += size;
 
   // Flight-recorder queue-spike watermark: one record when a link's queue
-  // first crosses half capacity, re-armed (below) once it drains under a
-  // quarter — hysteresis so a congested link logs a spike, not a flood.
+  // first crosses half capacity, re-armed (in Settle) once it drains under
+  // a quarter — hysteresis so a congested link logs a spike, not a flood.
   if (telem_ != nullptr && !rt.spike_latched && rt.queued_bytes * 2 > info.queue_bytes)
       [[unlikely]] {
     rt.spike_latched = true;
@@ -106,17 +111,11 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
   rt.tx_packets += 1;
   rt.tx_bytes += size;
 
-  events_.ScheduleAt(depart, [this, link, size] {
-    auto& r = link_rt_[static_cast<std::size_t>(link)];
-    r.queued_bytes -= size;
-    // Utilization accounting happens at transmission completion, so a burst
-    // sitting in the queue registers as sustained load, not a spike.
-    r.bytes_since_sample += size;
-    if (r.spike_latched &&
-        r.queued_bytes * 4 < topo_.link(link).queue_bytes) [[unlikely]] {
-      r.spike_latched = false;
-    }
-  });
+  // The departure's key is taken now, before the arrival's: a reader
+  // scheduled for the depart instant before this send still sees the
+  // packet queued, and one scheduled after it sees the packet gone.
+  departures_[static_cast<std::size_t>(link)].push_back(
+      Departure{depart, events_.ReserveSeq(), size});
   // Park the packet in a pooled slot; the delivery closure carries only
   // the handle, so it stays within the callback's inline capture budget.
   // Zero allocations per hop once the pool and the event queue are warm.
@@ -127,6 +126,37 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
     nodes_[static_cast<std::size_t>(to)]->Receive(std::move(*pool_.Get(h)), link);
     pool_.Release(h);
   });
+}
+
+void Network::DepartureFifo::push_back(const Departure& d) {
+  if (size_ == buf_.size()) {
+    std::vector<Departure> grown(std::max<std::size_t>(8, 2 * buf_.size()));
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+    buf_ = std::move(grown);
+    head_ = 0;
+  }
+  buf_[(head_ + size_) & (buf_.size() - 1)] = d;
+  ++size_;
+}
+
+void Network::Settle(LinkId l) const {
+  auto& fifo = departures_[static_cast<std::size_t>(l)];
+  if (fifo.empty()) return;
+  auto& rt = link_rt_[static_cast<std::size_t>(l)];
+  const std::uint64_t capacity = topo_.link(l).queue_bytes;
+  while (!fifo.empty() && events_.Reached(fifo.front().t, fifo.front().seq)) {
+    const std::uint32_t size = fifo.front().size;
+    fifo.pop_front();
+    rt.queued_bytes -= size;
+    // Utilization accounting happens at transmission completion, so a burst
+    // sitting in the queue registers as sustained load, not a spike.
+    rt.bytes_since_sample += size;
+    if (rt.spike_latched && rt.queued_bytes * 4 < capacity) [[unlikely]] {
+      rt.spike_latched = false;
+    }
+  }
 }
 
 void Network::EnableLinkSampling(SimTime period) {
@@ -142,6 +172,7 @@ void Network::SampleLinks(SimTime period) {
   last_sample_ = now;
   if (dt > 0) {
     for (std::size_t l = 0; l < link_rt_.size(); ++l) {
+      Settle(static_cast<LinkId>(l));
       auto& rt = link_rt_[l];
       const double inst =
           static_cast<double>(rt.bytes_since_sample) * 8.0 / (dt * topo_.link(static_cast<LinkId>(l)).rate_bps);
@@ -258,6 +289,7 @@ void Network::SetTelemetry(telemetry::Recorder* recorder) {
 void Network::CollectTelemetry(telemetry::Recorder& recorder) const {
   auto& m = recorder.metrics();
   for (std::size_t l = 0; l < link_rt_.size(); ++l) {
+    Settle(static_cast<LinkId>(l));
     const auto& rt = link_rt_[l];
     // Quiet links stay out of the artifact so it scales with activity, not
     // with topology size.

@@ -26,7 +26,10 @@ class Host;
 /// Dynamic per-link state: transmission scheduling, drop-tail queue, stats.
 struct LinkRuntime {
   SimTime next_free = 0;         // when the transmitter becomes idle
-  std::uint64_t queued_bytes = 0;  // bytes waiting for or in transmission
+  // Bytes waiting for or in transmission.  Departures are settled lazily
+  // (see Network::SendOnLink), so this, bytes_since_sample and the spike
+  // latch are current only when read through Network::link_runtime().
+  std::uint64_t queued_bytes = 0;
   bool up = true;                // physical state (failures silently blackhole)
   bool fault_active = false;     // gates the probabilistic-fault branch below
   SimTime down_since = 0;        // when `up` last went false (failover detection)
@@ -135,9 +138,13 @@ class Network {
 
   /// Transmits a packet over a simplex link: drop-tail admission, FIFO
   /// serialization at the link rate, delivery after propagation delay.
-  /// The in-flight packet is parked in the packet pool and the delivery
-  /// event carries only a slot handle, so the steady-state hot path
-  /// performs no heap allocation per hop.
+  /// One event per hop: the arrival.  The departure only reserves its
+  /// (t, seq) key in the event queue and joins the link's departure FIFO,
+  /// which is settled in key order whenever the link's state is read, so a
+  /// reader sees each departure from the moment its key is reached.  The
+  /// in-flight packet is parked in the packet pool and the arrival event
+  /// carries only a slot handle, so the steady-state hot path performs no
+  /// heap allocation per hop.
   void SendOnLink(LinkId link, Packet&& pkt);
 
   /// The per-network packet arena (single-threaded by ownership: one pool
@@ -145,7 +152,9 @@ class Network {
   PacketPool& pool() { return pool_; }
   const PacketPool& pool() const { return pool_; }
 
+  /// A link's state as of the event queue's position (departures settled).
   const LinkRuntime& link_runtime(LinkId l) const {
+    Settle(l);
     return link_rt_[static_cast<std::size_t>(l)];
   }
 
@@ -275,6 +284,38 @@ class Network {
  private:
   void SampleLinks(SimTime period);
 
+  /// A packet leaving a link's transmitter: its reserved (t, seq) key in
+  /// the event queue and its size.
+  struct Departure {
+    SimTime t;
+    std::uint64_t seq;
+    std::uint32_t size;
+  };
+
+  /// A link's pending departures in send order (so in key order): a ring
+  /// that doubles when full, so steady traffic reuses its storage.
+  class DepartureFifo {
+   public:
+    bool empty() const { return size_ == 0; }
+    const Departure& front() const { return buf_[head_]; }
+    void pop_front() {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+    }
+    void push_back(const Departure& d);
+
+   private:
+    std::vector<Departure> buf_;  // size 0 or a power of two
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  /// Applies, in order, every departure on `l` whose key the event queue
+  /// has reached: the bytes leave the queue, count toward utilization, and
+  /// may re-arm the spike latch.  Const because it only brings cached
+  /// state up to the queue's position.
+  void Settle(LinkId l) const;
+
   /// Metrics resolved once at SetTelemetry so per-packet updates are plain
   /// pointer increments (references into the registry stay valid).
   struct TelemetryHooks {
@@ -293,7 +334,9 @@ class Network {
   std::uint64_t seed_;
   PacketPool pool_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<LinkRuntime> link_rt_;
+  // Settled lazily, including from const readers (see Settle).
+  mutable std::vector<LinkRuntime> link_rt_;
+  mutable std::vector<DepartureFifo> departures_;  // parallel to link_rt_
   std::unordered_map<FlowId, FlowStats> flow_stats_;
   std::unordered_map<FlowId, FlowEndpoints> flow_endpoints_;
   std::unordered_map<Address, NodeId> host_by_addr_;

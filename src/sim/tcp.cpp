@@ -34,7 +34,7 @@ void TcpSender::Start() {
 
 void TcpSender::Stop() {
   running_ = false;
-  ++rto_epoch_;  // cancel pending timer
+  rto_armed_ = false;
 }
 
 void TcpSender::TrySend() {
@@ -70,12 +70,33 @@ void TcpSender::SendSegment(std::uint64_t seq, bool is_retx) {
 }
 
 void TcpSender::ArmRto() {
-  const std::uint64_t epoch = ++rto_epoch_;
-  net_->events().ScheduleAfter(rto_, [this, epoch] { OnRto(epoch); });
+  rto_armed_ = true;
+  rto_at_ = net_->Now() + rto_;
+  rto_seq_ = net_->events().ReserveSeq();
+  // The fresh seq is later than the pending timer's, so the armed key is
+  // earlier only if its time is.
+  if (rto_at_ < timer_at_) ScheduleTimer(rto_at_, rto_seq_);
 }
 
-void TcpSender::OnRto(std::uint64_t epoch) {
-  if (epoch != rto_epoch_ || !running_ || completed_) return;
+void TcpSender::ScheduleTimer(SimTime t, std::uint64_t seq) {
+  timer_at_ = t;
+  timer_seq_ = seq;
+  net_->events().ScheduleAt(t, seq, [this, seq] { OnTimer(seq); });
+}
+
+void TcpSender::OnTimer(std::uint64_t seq) {
+  if (seq != timer_seq_) return;  // superseded by an earlier armed key
+  timer_at_ = EventQueue::kNoEvent;
+  if (!rto_armed_) return;
+  if (seq != rto_seq_) {
+    ScheduleTimer(rto_at_, rto_seq_);  // re-armed since: move to the armed key
+    return;
+  }
+  rto_armed_ = false;
+  OnRto();
+}
+
+void TcpSender::OnRto() {
   if (snd_una_ >= next_seq_) return;  // nothing outstanding
   // Timeout: multiplicative backoff, collapse to one segment, and enter
   // recovery so partial ACKs drive retransmission of the rest of the
@@ -166,7 +187,7 @@ void TcpSender::OnPacket(const Packet& pkt) {
 
     if (total_segments_ > 0 && snd_una_ > params_.isn + total_segments_) {
       completed_ = true;
-      ++rto_epoch_;
+      rto_armed_ = false;
       auto& stats = net_->flow_stats(flow_);
       stats.completed = true;
       stats.completed_at = net_->Now();

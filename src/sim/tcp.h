@@ -48,7 +48,9 @@ class TcpSender : public FlowEndpoint {
   void TrySend();
   void SendSegment(std::uint64_t seq, bool is_retx);
   void ArmRto();
-  void OnRto(std::uint64_t epoch);
+  void ScheduleTimer(SimTime t, std::uint64_t seq);
+  void OnTimer(std::uint64_t seq);
+  void OnRto();
   void OnLossEvent();
   void RecoveryRetransmit(int budget);
   bool SackReceived(std::uint64_t seq) const;
@@ -79,8 +81,22 @@ class TcpSender : public FlowEndpoint {
   // RTT estimation (RFC 6298 shape).
   double srtt_ = 0.0, rttvar_ = 0.0;
   SimTime rto_;
-  std::uint64_t rto_epoch_ = 0;  // cancels stale timers
   bool retx_outstanding_ = false;
+
+  // Retransmission timer.  ArmRto records the armed key: Now() + rto_ and
+  // a reserved event seq.  The sender keeps one timer event in the queue;
+  // a timer that fires before the armed key moves itself there, so the
+  // timeout runs at exactly the (t, seq) place an event scheduled by the
+  // latest ArmRto would have had.  A second event is queued only when a
+  // shrunken rto_ arms a key earlier than the pending timer's; the later
+  // one then fires as a no-op.  Stop() and completion disarm.  The timer
+  // event holds `this`, so endpoints are never destroyed mid-run.
+  bool rto_armed_ = false;
+  SimTime rto_at_ = 0;
+  std::uint64_t rto_seq_ = 0;
+  // The live timer event's key; kNoEvent when none is pending.
+  SimTime timer_at_ = EventQueue::kNoEvent;
+  std::uint64_t timer_seq_ = 0;
 
   bool running_ = false;
   bool completed_ = false;

@@ -202,12 +202,59 @@ TEST(EventQueueTest, FiredCallbackIsDestroyedBeforeTheNextEventRuns) {
   }
 }
 
+// A reserved key fixes an event's place in the (t, seq) order at reserve
+// time, whenever (and from wherever) the event is admitted.
+TEST(EventQueueTest, ReservedKeyPopsWhereItWasReserved) {
+  EventQueue q;
+  std::vector<int> order;
+  q.ScheduleAt(10, [&] { order.push_back(0); });
+  const std::uint64_t held = q.ReserveSeq();
+  q.ScheduleAt(10, [&] { order.push_back(2); });
+  // Admitted from inside an earlier event, as a timer moving itself does.
+  q.ScheduleAt(5, [&] { q.ScheduleAt(10, held, [&] { order.push_back(1); }); });
+  q.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  // A reservation never admitted leaves no trace in the pop order.
+  q.ReserveSeq();
+  q.ScheduleAt(20, [&] { order.push_back(3); });
+  q.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueueTest, ReachedFollowsTheQueuePosition) {
+  EventQueue q;
+  const std::uint64_t at0 = q.ReserveSeq();
+  EXPECT_FALSE(q.Reached(0, at0));  // before any run, nothing is reached
+  const std::uint64_t early = q.ReserveSeq();
+  std::uint64_t late = 0;
+  bool early_seen = false, late_seen = true;
+  q.ScheduleAt(7, [&] {
+    early_seen = q.Reached(7, early);  // reserved before the firing key
+    late_seen = q.Reached(7, late);    // reserved after it
+  });
+  late = q.ReserveSeq();
+  ASSERT_TRUE(q.DispatchOne(7));
+  EXPECT_TRUE(early_seen);
+  EXPECT_FALSE(late_seen);
+  EXPECT_TRUE(q.Reached(0, at0));
+  EXPECT_FALSE(q.Reached(7, late));  // after DispatchOne: the key it fired
+  // After RunUntil(until): until with every seq reserved so far.
+  const std::uint64_t at_until = q.ReserveSeq();
+  q.RunUntil(9);
+  EXPECT_TRUE(q.Reached(9, at_until));
+  EXPECT_TRUE(q.Reached(7, late));
+  EXPECT_FALSE(q.Reached(9, q.ReserveSeq()));
+  EXPECT_FALSE(q.Reached(10, 0));
+}
+
 // ---- Differential test against an ordered-map reference model ------------
 //
 // Every event carries an id; firing logs (id, Now()).  Ids divisible by 4
 // spawn a child from inside their callback, so admission interleaves with
 // dispatch and the slot array can grow mid-callback; ids divisible by 3
-// capture more than the inline budget (boxed callbacks).
+// capture more than the inline budget (boxed callbacks).  Reserved keys are
+// held by the test loop, admitted later under their key or never, and
+// Reached is queried on held, pending and fired keys.
 
 struct Fired {
   int id;
@@ -238,11 +285,15 @@ struct Harness {
   }
 };
 
+using Key = std::pair<SimTime, std::uint64_t>;  // (t, seq)
+
 // The queue's contract restated over a std::map keyed by (t, seq).
 struct Model {
-  std::map<std::pair<SimTime, std::uint64_t>, int> pending;  // (t, seq) -> id
+  std::map<Key, int> pending;  // (t, seq) -> id
   SimTime now = 0;
   std::uint64_t next_seq = 0;
+  Key position{0, 0};      // every key below it is reached
+  std::vector<Key> fired;  // in pop order
   std::uint64_t processed = 0;
   std::size_t peak = 0;
   std::vector<Fired> log;
@@ -251,8 +302,12 @@ struct Model {
     return pending.empty() ? EventQueue::kNoEvent : pending.begin()->first.first;
   }
 
-  void Admit(SimTime t, int id) {
-    pending.emplace(std::pair{std::max(t, now), next_seq++}, id);
+  bool Reached(Key k) const { return k < position; }
+
+  void Admit(SimTime t, int id) { AdmitReserved({std::max(t, now), next_seq++}, id); }
+
+  void AdmitReserved(Key k, int id) {
+    pending.emplace(k, id);
     peak = std::max(peak, pending.size());
   }
 
@@ -260,10 +315,26 @@ struct Model {
     const auto [key, id] = *pending.begin();
     pending.erase(pending.begin());
     now = key.first;
+    position = {key.first, key.second + 1};
+    fired.push_back(key);
     ++processed;
     log.push_back({id, now});
     if (Spawns(id)) Admit(now + ChildDelay(id), ChildOf(id));
   }
+
+  void RunUntil(SimTime until) {
+    while (Front() <= until) Fire();
+    if (now <= until) {
+      now = until;
+      position = {until, next_seq};
+    }
+  }
+};
+
+// A reserved key the test loop has not admitted yet.
+struct Held {
+  Key key;
+  int id;
 };
 
 void ExpectSameState(const Harness& h, const Model& m, std::size_t& checked) {
@@ -273,6 +344,14 @@ void ExpectSameState(const Harness& h, const Model& m, std::size_t& checked) {
   ASSERT_EQ(h.q.PeekTime(), m.Front());
   ASSERT_EQ(h.q.processed(), m.processed);
   ASSERT_EQ(h.q.peak_pending(), m.peak);
+  // The earliest pending key is not reached (so none is); the last fired is.
+  if (!m.pending.empty()) {
+    const Key& front = m.pending.begin()->first;
+    ASSERT_FALSE(h.q.Reached(front.first, front.second));
+  }
+  if (!m.fired.empty()) {
+    ASSERT_TRUE(h.q.Reached(m.fired.back().first, m.fired.back().second));
+  }
   ASSERT_EQ(h.log.size(), m.log.size());
   for (; checked < m.log.size(); ++checked) {
     ASSERT_EQ(h.log[checked].id, m.log[checked].id) << "pop " << checked;
@@ -288,14 +367,44 @@ TEST(EventQueueTest, MatchesOrderedMapModelUnderMixedOperations) {
     Model m;
     std::size_t checked = 0;
     int next_id = 1;
+    std::vector<Held> held;
+    auto reserve = [&](SimTime t) {
+      const std::uint64_t seq = h.q.ReserveSeq();
+      EXPECT_EQ(seq, m.next_seq++);
+      return Key{t, seq};
+    };
+    auto pick = [&](auto& v) {
+      return static_cast<std::size_t>(rng.UniformInt(0, static_cast<std::int64_t>(v.size()) - 1));
+    };
     for (int step = 0; step < 3000; ++step) {
       const std::int64_t op = rng.UniformInt(0, 99);
-      if (op < 45) {  // may land in the past: clamps to Now()
+      if (op < 38) {  // may land in the past: clamps to Now()
         const SimTime t = m.now + rng.UniformInt(-5, 40);
         const int id = next_id++;
         m.Admit(t, id);
         h.q.ScheduleAt(t, h.Make(id));
-      } else if (op < 52) {  // sizes straddle the sift-up / rebuild cut-off
+      } else if (op < 46) {  // reserve a key, admitted later or never
+        held.push_back({reserve(m.now + rng.UniformInt(0, 40)), next_id++});
+      } else if (op < 54) {  // admit a held key, unless it was reached first
+        if (held.empty()) continue;
+        const std::size_t i = pick(held);
+        const Held r = held[i];
+        held[i] = held.back();
+        held.pop_back();
+        ASSERT_EQ(h.q.Reached(r.key.first, r.key.second), m.Reached(r.key));
+        if (m.Reached(r.key)) continue;  // never admitted
+        m.AdmitReserved(r.key, r.id);
+        h.q.ScheduleAt(r.key.first, r.key.second, h.Make(r.id));
+      } else if (op < 60) {  // query held and fired keys
+        if (!held.empty()) {
+          const Key k = held[pick(held)].key;
+          ASSERT_EQ(h.q.Reached(k.first, k.second), m.Reached(k));
+        }
+        if (!m.fired.empty()) {
+          const Key k = m.fired[pick(m.fired)];
+          ASSERT_TRUE(h.q.Reached(k.first, k.second));
+        }
+      } else if (op < 64) {  // sizes straddle the sift-up / rebuild cut-off
         std::vector<EventQueue::TimedEvent> batch;
         const std::int64_t n = rng.UniformInt(1, 40);
         for (std::int64_t i = 0; i < n; ++i) {
@@ -305,16 +414,25 @@ TEST(EventQueueTest, MatchesOrderedMapModelUnderMixedOperations) {
           batch.push_back({t, h.Make(id)});
         }
         h.q.ScheduleBulk(std::move(batch));
-      } else if (op < 80) {
+      } else if (op < 84) {
         const SimTime cap = m.now + rng.UniformInt(-2, 20);
         const bool runs = m.Front() <= cap;
         if (runs) m.Fire();
         ASSERT_EQ(h.q.DispatchOne(cap), runs);
       } else {
         const SimTime until = m.now + rng.UniformInt(-2, 30);
-        while (m.Front() <= until) m.Fire();
-        m.now = std::max(m.now, until);
+        // A key at exactly `until` reserved before the call is reached when
+        // it returns; one reserved after it is not.
+        const bool advances = until >= m.now;
+        const Key before = advances ? reserve(until) : Key{};
+        m.RunUntil(until);
         h.q.RunUntil(until);
+        if (advances) {
+          ASSERT_TRUE(h.q.Reached(before.first, before.second));
+          const Key after = reserve(until);
+          ASSERT_FALSE(h.q.Reached(after.first, after.second));
+          held.push_back({after, next_id++});
+        }
       }
       ExpectSameState(h, m, checked);
       if (HasFatalFailure()) break;

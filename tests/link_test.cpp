@@ -6,6 +6,7 @@
 #include "sim/host.h"
 #include "sim/network.h"
 #include "sim/switch_node.h"
+#include "telemetry/telemetry.h"
 
 namespace fastflex::sim {
 namespace {
@@ -103,6 +104,59 @@ TEST(LinkTest, UtilizationSamplingTracksLoad) {
   // After the burst drains, utilization decays.
   net.RunUntil(500 * kMillisecond);
   EXPECT_LT(net.LinkUtilization(line.mid), 0.1);
+}
+
+TEST(LinkTest, ReaderAtDepartInstantSeesSeqOrder) {
+  // Same-time events fire in schedule order, and a departure takes its
+  // place in that order when the packet is sent: a reader scheduled for the
+  // depart instant before the send still sees the packet queued, and one
+  // scheduled after it sees it gone.
+  Line line;
+  Network net(line.t, 1);
+  control::InstallDstRoutes(net);
+  // 1000 B on the 8 Mb/s link: the packet departs at exactly 1 ms.
+  std::uint64_t before_send = 0;
+  std::uint64_t after_send = 1;
+  net.events().ScheduleAt(kMillisecond, [&] {
+    before_send = net.link_runtime(line.mid).queued_bytes;
+  });
+  net.SendOnLink(line.mid, MakeUdp(net, line.s1, line.h2, 1000));
+  net.events().ScheduleAt(kMillisecond, [&] {
+    after_send = net.link_runtime(line.mid).queued_bytes;
+  });
+  net.RunUntil(2 * kMillisecond);
+  EXPECT_EQ(before_send, 1000u);
+  EXPECT_EQ(after_send, 0u);
+}
+
+/// Queue-spike flight records from two 6 x 1000 B bursts into a 10 kB
+/// queue on the 8 Mb/s link (one departure per ms), the second sent
+/// `gap` after the first.
+std::size_t QueueSpikes(SimTime gap) {
+  Line line(8e6, 10'000);
+  Network net(line.t, 1);
+  control::InstallDstRoutes(net);
+  telemetry::Recorder rec;
+  net.SetTelemetry(&rec);
+  for (int burst = 0; burst < 2; ++burst) {
+    if (burst == 1) net.RunUntil(gap);
+    for (int i = 0; i < 6; ++i) net.SendOnLink(line.mid, MakeUdp(net, line.s1, line.h2, 1000));
+  }
+  net.RunUntil(kSecond);
+  std::size_t spikes = 0;
+  for (const auto& r : rec.flight().Snapshot()) {
+    if (r.kind == telemetry::FlightKind::kQueueSpike) ++spikes;
+  }
+  return spikes;
+}
+
+TEST(LinkTest, QueueSpikeLatchRearmsAfterDrain) {
+  // Each burst crosses half the queue.  The latch re-arms only once the
+  // queue drains below a quarter (2500 B) between them.
+  EXPECT_EQ(QueueSpikes(kSecond), 2u);             // drained to 0 B
+  EXPECT_EQ(QueueSpikes(4 * kMillisecond), 2u);    // 4 departed: 2000 B left
+  EXPECT_EQ(QueueSpikes(3 * kMillisecond), 1u);    // 3 departed: 3000 B left
+  EXPECT_EQ(QueueSpikes(0), 1u);                   // no drain
 }
 
 TEST(LinkTest, LinkDownDropsAreCounted) {

@@ -2,6 +2,10 @@
 // flows, application-limited (attack-style) flows, and UDP pulsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+
 #include "control/routes.h"
 #include "sim/host.h"
 #include "sim/network.h"
@@ -152,6 +156,89 @@ TEST(TcpTest, RetransmitCounterVisibleToTelemetry) {
   net.RunUntil(15 * kSecond);
   // Slow-start overshoot guarantees at least one loss episode on this BDP.
   EXPECT_GT(net.flow_stats(f).retransmits, 0u);
+}
+
+TEST(TcpTest, OnePendingRtoTimerPerSender) {
+  // Every ACK that advances snd_una re-arms the RTO.  The sender keeps one
+  // timer event that moves to the armed key, so while this probe runs the
+  // queue holds the in-flight packets' arrivals plus a constant: the link
+  // sampler and the timer (briefly two, after a shrunken rto_ arms a key
+  // earlier than the pending one's).
+  Line line(1, 20e6);
+  Network net(line.t, 1);
+  control::InstallDstRoutes(net);
+  net.EnableLinkSampling(10 * kMillisecond);
+  const FlowId f = net.StartTcpFlow(line.left[0], line.right[0], TcpParams{}, 0);
+  std::size_t worst_excess = 0;
+  std::size_t peak_in_flight = 0;
+  std::function<void()> probe = [&] {
+    const std::size_t in_flight = net.pool().in_flight();
+    const std::size_t pending = net.events().Pending();
+    peak_in_flight = std::max(peak_in_flight, in_flight);
+    if (pending > in_flight) worst_excess = std::max(worst_excess, pending - in_flight);
+    net.events().ScheduleAfter(kMillisecond, probe);
+  };
+  net.events().ScheduleAt(0, probe);
+  net.RunUntil(2 * kSecond);
+  EXPECT_GT(net.flow_stats(f).delivered_bytes, 0u);
+  EXPECT_GT(peak_in_flight, 50u);  // a full window in flight, so many ACKs
+  EXPECT_LE(worst_excess, 3u);
+}
+
+/// Forwards to a TcpSender and notes when the last ACK arrived and the
+/// rto() it left behind.
+class AckTap : public FlowEndpoint {
+ public:
+  AckTap(Network& net, std::unique_ptr<TcpSender> sender)
+      : net_(net), sender_(std::move(sender)) {}
+  void Start() override { sender_->Start(); }
+  void OnPacket(const Packet& pkt) override {
+    sender_->OnPacket(pkt);
+    last_ack_at = net_.Now();
+    rto_after = sender_->rto();
+  }
+  const TcpSender& sender() const { return *sender_; }
+
+  SimTime last_ack_at = 0;
+  SimTime rto_after = 0;
+
+ private:
+  Network& net_;
+  std::unique_ptr<TcpSender> sender_;
+};
+
+TEST(TcpTest, RtoFiresAtLastAckPlusRto) {
+  Line line(1, 20e6);
+  Network net(line.t, 1);
+  control::InstallDstRoutes(net);
+  Host* src = net.host_at(line.left[0]);
+  Host* dst = net.host_at(line.right[0]);
+  const FlowId flow = 1;
+  TcpParams p;
+  p.max_cwnd = 8;  // never overflows the queue: every ACK advances snd_una
+  dst->AttachEndpoint(flow, std::make_unique<TcpReceiver>(&net, dst, flow, src->address(),
+                                                          10'001, 80, p.mss));
+  auto owned = std::make_unique<AckTap>(
+      net, std::make_unique<TcpSender>(&net, src, flow, dst->address(), 10'001, 80, p));
+  AckTap* tap = owned.get();
+  src->AttachEndpoint(flow, std::move(owned));
+  tap->Start();
+  net.RunUntil(2 * kSecond);
+  ASSERT_EQ(tap->sender().retransmits(), 0u);
+
+  // Cut the path; the ACKs already past the cut land within ~25 ms.
+  net.SetDuplexUp(line.mid, false);
+  net.RunUntil(2 * kSecond + 100 * kMillisecond);
+  ASSERT_EQ(tap->sender().retransmits(), 0u);
+  const SimTime fire_at = tap->last_ack_at + tap->rto_after;
+  ASSERT_GT(fire_at, net.Now());
+  std::uint64_t just_before = 1;
+  std::uint64_t at = 0;
+  net.events().ScheduleAt(fire_at - 1, [&] { just_before = tap->sender().retransmits(); });
+  net.events().ScheduleAt(fire_at, [&] { at = tap->sender().retransmits(); });
+  net.RunUntil(fire_at);
+  EXPECT_EQ(just_before, 0u);
+  EXPECT_EQ(at, 1u);
 }
 
 TEST(UdpTest, CbrDeliversConfiguredRate) {
