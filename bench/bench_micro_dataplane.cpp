@@ -300,32 +300,21 @@ void BM_EventQueueHold(benchmark::State& state) {
 BENCHMARK(BM_EventQueueHold)->Arg(2048)->Arg(8192);
 
 void BM_EventQueueSchedule(benchmark::State& state) {
-  // Event admission cost, single vs bulk.  Arg(0): one ScheduleAt per
-  // event (per-event sift-up).  Arg(1): the same batch through
-  // ScheduleBulk (append + one Floyd rebuild).
-  const bool bulk = state.range(0) != 0;
+  // Event admission cost: 1024 ScheduleAt calls (one sift-up each), then
+  // a drain.
   sim::EventQueue q;
   q.Reserve(4096);
   std::uint64_t n = 0;
   for (auto _ : state) {
-    if (bulk) {
-      std::vector<sim::EventQueue::TimedEvent> batch;
-      batch.reserve(1024);
-      for (int i = 0; i < 1024; ++i) {
-        batch.push_back({static_cast<SimTime>((i * 37) % 1024), [] {}});
-      }
-      q.ScheduleBulk(std::move(batch));
-    } else {
-      for (int i = 0; i < 1024; ++i) {
-        q.ScheduleAt(static_cast<SimTime>((i * 37) % 1024), [] {});
-      }
+    for (int i = 0; i < 1024; ++i) {
+      q.ScheduleAt(static_cast<SimTime>((i * 37) % 1024), [] {});
     }
     q.RunAll();
     n += 1024;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EventQueueSchedule)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueSchedule);
 
 // ---- Micro M2: solver scalability (TE, joint analysis, cluster packing) ----
 

@@ -20,7 +20,7 @@
 //      differ; the simulation and every replay-pinned section may not.
 //      Exit 1 if they diverge.
 //   4. Writes BENCH_prof.json: deterministic counters from the prof-on
-//      run (call counts, tree shape, flight totals) that the compare
+//      run (call counts, tree shape, trace-event count) that the compare
 //      gate pins exactly, plus ratios/timing for the threshold gates.
 //
 // Not a google-benchmark binary: the determinism assert and the in-run
@@ -191,7 +191,6 @@ int main() {
 
   // ---- 4. The gated artifact ----
   const telemetry::Profiler& prof = prof_rec->prof();
-  const telemetry::FlightRecorder& flight = prof_rec->flight();
 
   std::ofstream out("BENCH_prof.json", std::ios::binary);
   out << "{\n"
@@ -208,7 +207,7 @@ int main() {
       << "    \"host_calls\": " << prof.CallsAt(telemetry::ProfSite::kHostStack) << ",\n"
       << "    \"mode_calls\": " << prof.CallsAt(telemetry::ProfSite::kModeProtocol) << ",\n"
       << "    \"occupancy_samples\": " << prof.occupancy().count() << ",\n"
-      << "    \"flight_records\": " << flight.total() << ",\n"
+      << "    \"trace_events\": " << prof_rec->trace().events().size() << ",\n"
       << "    \"nonprof_doc_bytes\": " << doc_on.size() << "\n"
       << "  },\n"
       << "  \"determinism\": {\n"
@@ -228,18 +227,14 @@ int main() {
       << "    \"fig3_pair_median_ratio\": " << Num(fig3_pair_median) << "\n"
       << "  }\n}\n";
 
-  // Companion artifacts for CI upload and tools/prof_report.py: the full
-  // prof-on export (prof + flight sections included) and a flight-recorder
-  // dump of the run's ring.
+  // Companion artifact for CI upload and tools/prof_report.py: the full
+  // prof-on export, prof section included.
   {
     std::ofstream full("TELEMETRY_fig3_prof.json", std::ios::binary);
     full << doc_full;
   }
-  telemetry::FlightRecorder& flight_mut = prof_rec->flight();
-  flight_mut.set_dump_path("FLIGHT_fig3.jsonl");
-  (void)flight_mut.RequestDump("bench_prof_complete");
 
   std::printf("telemetry artifact: BENCH_prof.json\n");
-  std::printf("full profiled export: TELEMETRY_fig3_prof.json  flight dump: FLIGHT_fig3.jsonl\n");
+  std::printf("full profiled export: TELEMETRY_fig3_prof.json\n");
   return (nonprof_identical && prof_section_present) ? 0 : 1;
 }

@@ -5,23 +5,13 @@ namespace fastflex::attacks {
 std::vector<FlowId> LaunchVolumetric(sim::Network& net, const VolumetricConfig& config) {
   std::vector<FlowId> flows;
   flows.reserve(config.bots.size());
-  // One stop event per bot, admitted through the bulk fast path: a botnet
-  // is the schedule-heavy case (thousands of same-time events), and the
-  // bulk admission re-heapifies once instead of sifting per event.
-  std::vector<sim::EventQueue::TimedEvent> stops;
-  if (config.stop > 0) stops.reserve(config.bots.size());
   for (NodeId bot : config.bots) {
     sim::UdpParams params;
     params.rate_bps = config.rate_per_bot_bps;
     params.packet_bytes = config.packet_bytes;
     const FlowId f = net.StartUdpFlow(bot, config.victim, params, config.start);
-    if (f == kInvalidFlow) continue;
-    flows.push_back(f);
-    if (config.stop > 0) {
-      stops.push_back({config.stop, [&net, f] { net.StopFlow(f); }});
-    }
+    if (f != kInvalidFlow) flows.push_back(f);
   }
-  net.events().ScheduleBulk(std::move(stops));
   return flows;
 }
 

@@ -19,7 +19,6 @@ struct VolumetricConfig {
   double rate_per_bot_bps = 10e6;
   std::uint32_t packet_bytes = 1000;
   SimTime start = 5 * kSecond;
-  SimTime stop = 0;  // 0 = run forever
 };
 
 /// Launches the flood; returns the attack flow ids.

@@ -259,13 +259,6 @@ bool FastFlexOrchestrator::UninstallBooster(NodeId sw, const std::string& booste
 }
 
 void FastFlexOrchestrator::HandleSwitchReboot(NodeId sw) {
-  // Black-box note that the control plane handled the reboot (state wipe +
-  // resync), distinguishable from the injector's physics-level record by
-  // the b=1 marker.
-  if (config_.recorder != nullptr) {
-    config_.recorder->flight().Record(net_->Now(), telemetry::FlightKind::kSwitchReboot,
-                                      sw, 1);
-  }
   auto pit = pipelines_.find(sw);
   if (pit != pipelines_.end()) pit->second->ResetState();
   auto ait = agents_.find(sw);

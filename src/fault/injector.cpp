@@ -10,30 +10,13 @@ namespace fastflex::fault {
 namespace {
 std::int64_t PerMille(double p) { return std::llround(p * 1000.0); }
 std::int64_t Ms(SimTime t) { return t / kMillisecond; }
-
-// FlightKind::kFaultInject's c field: which fault was injected.
-constexpr std::int64_t kLinkDownCode = 0;
-constexpr std::int64_t kControlLossCode = 4;
-constexpr std::int64_t kCorruptionCode = 5;
 }  // namespace
 
 FaultInjector::FaultInjector(sim::Network* net, FaultPlan plan)
     : net_(net), plan_(std::move(plan)) {}
 
-void FaultInjector::Record(std::string event, telemetry::Tracer::Fields fields,
-                           telemetry::FlightKind flight, std::int64_t node,
-                           std::int64_t link, std::int64_t code) {
-  if (telem_ == nullptr) return;
-  const SimTime now = net_->Now();
-  telem_->trace().Event(now, std::move(event), fields);
-  // Mirror into the flight recorder so a postmortem dump shows the injected
-  // fault in sequence with the drops/flips/alarms it caused.  A crash also
-  // cuts a dump immediately: the ring right now is the flight that ended in
-  // the crash, exactly what a black box is for.
-  telem_->flight().Record(now, flight, node, link, code);
-  if (flight == telemetry::FlightKind::kSwitchCrash) {
-    telem_->flight().RequestDump("switch_crash", now);
-  }
+void FaultInjector::Record(std::string event, telemetry::Tracer::Fields fields) {
+  if (telem_ != nullptr) telem_->trace().Event(net_->Now(), std::move(event), fields);
 }
 
 void FaultInjector::ForEachDirection(const FaultEvent& e,
@@ -51,23 +34,19 @@ void FaultInjector::Inject(const FaultEvent& e) {
   switch (e.kind) {
     case FaultKind::kLinkDown:
       ForEachDirection(e, [this](LinkId l) { net_->SetLinkUp(l, false); });
-      Record("fault.link_down", {{"link", e.link}, {"aux", Ms(e.duration)}},
-             telemetry::FlightKind::kFaultInject, -1, e.link, kLinkDownCode);
+      Record("fault.link_down", {{"link", e.link}, {"aux", Ms(e.duration)}});
       break;
     case FaultKind::kSwitchCrash:
       if (sim::SwitchNode* sw = net_->switch_at(e.node)) sw->SetOffline(true);
-      Record("fault.switch_crash", {{"node", e.node}, {"aux", Ms(e.duration)}},
-             telemetry::FlightKind::kSwitchCrash, e.node);
+      Record("fault.switch_crash", {{"node", e.node}, {"aux", Ms(e.duration)}});
       break;
     case FaultKind::kControlLoss:
       ForEachDirection(e, [this, &e](LinkId l) { net_->SetProbeLoss(l, e.probability); });
-      Record("fault.control_loss", {{"link", e.link}, {"aux", PerMille(e.probability)}},
-             telemetry::FlightKind::kFaultInject, -1, e.link, kControlLossCode);
+      Record("fault.control_loss", {{"link", e.link}, {"aux", PerMille(e.probability)}});
       break;
     case FaultKind::kCorruption:
       ForEachDirection(e, [this, &e](LinkId l) { net_->SetCorruption(l, e.probability); });
-      Record("fault.corruption", {{"link", e.link}, {"aux", PerMille(e.probability)}},
-             telemetry::FlightKind::kFaultInject, -1, e.link, kCorruptionCode);
+      Record("fault.corruption", {{"link", e.link}, {"aux", PerMille(e.probability)}});
       break;
   }
 }
@@ -78,24 +57,20 @@ void FaultInjector::Repair(const FaultEvent& e) {
   switch (e.kind) {
     case FaultKind::kLinkDown:
       ForEachDirection(e, [this](LinkId l) { net_->SetLinkUp(l, true); });
-      Record("fault.link_up", {{"link", e.link}}, telemetry::FlightKind::kFaultRepair, -1,
-             e.link);
+      Record("fault.link_up", {{"link", e.link}});
       break;
     case FaultKind::kSwitchCrash:
       if (sim::SwitchNode* sw = net_->switch_at(e.node)) sw->SetOffline(false);
-      Record("fault.switch_reboot", {{"node", e.node}}, telemetry::FlightKind::kSwitchReboot,
-             e.node);
+      Record("fault.switch_reboot", {{"node", e.node}});
       if (reboot_) reboot_(e.node);
       break;
     case FaultKind::kControlLoss:
       ForEachDirection(e, [this](LinkId l) { net_->SetProbeLoss(l, 0.0); });
-      Record("fault.fault_cleared", {{"link", e.link}}, telemetry::FlightKind::kFaultRepair,
-             -1, e.link);
+      Record("fault.fault_cleared", {{"link", e.link}});
       break;
     case FaultKind::kCorruption:
       ForEachDirection(e, [this](LinkId l) { net_->SetCorruption(l, 0.0); });
-      Record("fault.fault_cleared", {{"link", e.link}}, telemetry::FlightKind::kFaultRepair,
-             -1, e.link);
+      Record("fault.fault_cleared", {{"link", e.link}});
       break;
   }
 }

@@ -49,11 +49,8 @@ class FaultInjector {
  private:
   void Inject(const FaultEvent& e);
   void Repair(const FaultEvent& e);
-  /// Records one transition as a `fault.*` trace event plus its
-  /// flight-recorder mirror (a = node, b = link, c = code).
-  void Record(std::string event, telemetry::Tracer::Fields fields,
-              telemetry::FlightKind flight, std::int64_t node, std::int64_t link = -1,
-              std::int64_t code = -1);
+  /// Records one transition as a `fault.*` trace event.
+  void Record(std::string event, telemetry::Tracer::Fields fields);
   /// Applies `fn(link)` to the event's link, and its reverse when duplex.
   void ForEachDirection(const FaultEvent& e, const std::function<void(LinkId)>& fn);
 

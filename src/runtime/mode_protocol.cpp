@@ -75,9 +75,6 @@ void ModeProtocolPpm::TryClearBit(std::uint32_t bit, std::uint64_t epoch) {
                                {"epoch", static_cast<std::int64_t>(epoch)},
                                {"bit", bit},
                                {"on", 0}});
-        telem_->flight().Record(now, telemetry::FlightKind::kModeFlip, sw_->id(),
-                                pipe_->active_modes(),
-                                static_cast<std::int64_t>(epoch));
       }
     }
     return;
@@ -110,9 +107,6 @@ void ModeProtocolPpm::ApplyBits(NodeId origin, std::uint64_t epoch,
                                  {"epoch", static_cast<std::int64_t>(epoch)},
                                  {"bit", bit},
                                  {"on", 1}});
-          telem_->flight().Record(now, telemetry::FlightKind::kModeFlip, sw_->id(),
-                                  pipe_->active_modes(),
-                                  static_cast<std::int64_t>(epoch));
         }
       }
       last_activation_[bit] = now;
@@ -133,8 +127,6 @@ void ModeProtocolPpm::RaiseAlarm(std::uint32_t attack_type, std::uint32_t mode_b
                            {"bits", mode_bits},
                            {"on", activate ? 1 : 0},
                            {"epoch", static_cast<std::int64_t>(epoch)}});
-    telem_->flight().Record(net_->Now(), telemetry::FlightKind::kAlarm, sw_->id(),
-                            mode_bits, static_cast<std::int64_t>(epoch));
   }
   ApplyBits(sw_->id(), epoch, mode_bits, activate);
   ++alarms_raised_;
@@ -284,10 +276,6 @@ void ModeProtocolPpm::Process(sim::PacketContext& ctx) {
       p.auth != ProbeAuthTag(config_.auth_key, p)) {
     ctx.consume = true;
     ++auth_rejects_;
-    if (telem_ != nullptr) {
-      telem_->flight().Record(net_->Now(), telemetry::FlightKind::kAuthReject, sw_->id(),
-                              p.origin, static_cast<std::int64_t>(p.epoch));
-    }
     return;
   }
 

@@ -70,24 +70,6 @@ void EventQueue::ScheduleAt(SimTime t, std::uint64_t seq, Callback fn) {
   Admit(t, seq, std::move(fn));
 }
 
-void EventQueue::ScheduleBulk(std::vector<TimedEvent> batch) {
-  if (batch.empty()) return;
-  heap_.reserve(heap_.size() + batch.size());
-  // Heuristic: a batch that rivals the pending set is cheaper to admit by
-  // appending everything and re-heapifying once (Floyd, O(n)) than by
-  // sifting each entry up.
-  const bool rebuild = batch.size() >= heap_.size() / 4 + 1;
-  for (auto& e : batch) {
-    const SimTime t = e.t < now_ ? now_ : e.t;
-    heap_.push_back(Key{t, next_seq_++, Park(std::move(e.fn))});
-    if (!rebuild) SiftUp(heap_.size() - 1);
-  }
-  if (rebuild && heap_.size() > 1) {
-    for (std::size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
-  }
-  if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
-}
-
 // Inline: this is the body of RunUntil's loop, the simulator's hottest.
 inline void EventQueue::DispatchTop() {
   Event ev = PopTop();  // pop before firing: the callback may schedule

@@ -41,12 +41,6 @@ class EventQueue {
  public:
   using Callback = SmallCallback;
 
-  /// A (time, callback) pair for ScheduleBulk.
-  struct TimedEvent {
-    SimTime t = 0;
-    Callback fn;
-  };
-
   /// Sentinel returned by PeekTime() on an empty queue.
   static constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
 
@@ -75,14 +69,6 @@ class EventQueue {
   bool Reached(SimTime t, std::uint64_t seq) const {
     return t != now_ ? t < now_ : seq < reached_seq_;
   }
-
-  /// Bulk-schedule fast path: admits a whole batch, assigning insertion
-  /// sequence numbers in batch order (so same-time entries fire in batch
-  /// order, interleaving correctly with prior and later ScheduleAt calls).
-  /// For batches that are large relative to the pending set this rebuilds
-  /// the heap once in O(pending + batch) instead of paying O(log n) sifts
-  /// per entry.
-  void ScheduleBulk(std::vector<TimedEvent> batch);
 
   /// Pre-sizes the pending-event storage (keys, slots and free list, e.g.
   /// before injecting a large traffic schedule) so admission never

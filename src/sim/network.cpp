@@ -53,10 +53,7 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
 
   if (!rt.up) {
     ++rt.down_drops;
-    if (telem_ != nullptr) {
-      hooks_.link_down_drops->Inc();
-      telem_->flight().Record(now, telemetry::FlightKind::kLinkDrop, link, size, 1);
-    }
+    if (telem_ != nullptr) hooks_.link_down_drops->Inc();
     return;
   }
 
@@ -84,21 +81,21 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
     if (telem_ != nullptr) {
       hooks_.link_drops->Inc();
       hooks_.drop_series->Add(now, 1.0);
-      telem_->flight().Record(now, telemetry::FlightKind::kLinkDrop, link, size, 0);
     }
     return;
   }
   rt.queued_bytes += size;
 
-  // Flight-recorder queue-spike watermark: one record when a link's queue
+  // Queue-spike watermark: one link.queue_spike event when a link's queue
   // first crosses half capacity, re-armed (in Settle) once it drains under
   // a quarter — hysteresis so a congested link logs a spike, not a flood.
   if (telem_ != nullptr && !rt.spike_latched && rt.queued_bytes * 2 > info.queue_bytes)
       [[unlikely]] {
     rt.spike_latched = true;
-    telem_->flight().Record(now, telemetry::FlightKind::kQueueSpike, link,
-                            static_cast<std::int64_t>(rt.queued_bytes),
-                            static_cast<std::int64_t>(info.queue_bytes));
+    telem_->trace().Event(now, "link.queue_spike",
+                          {{"link", link},
+                           {"queued", static_cast<std::int64_t>(rt.queued_bytes)},
+                           {"capacity", static_cast<std::int64_t>(info.queue_bytes)}});
   }
 
   const SimTime start = std::max(now, rt.next_free);

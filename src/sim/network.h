@@ -35,7 +35,7 @@ struct LinkRuntime {
   SimTime down_since = 0;        // when `up` last went false (failover detection)
   double probe_loss = 0.0;       // P(drop) for control probes (partitioned floods)
   double corrupt_prob = 0.0;     // P(drop) for any packet (corruption faults)
-  bool spike_latched = false;    // flight-recorder queue-spike hysteresis latch
+  bool spike_latched = false;    // link.queue_spike trace-event hysteresis latch
 
   std::uint64_t tx_packets = 0;
   std::uint64_t tx_bytes = 0;

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <ostream>
 
 namespace fastflex::telemetry {
 
@@ -105,11 +103,6 @@ std::string ToJson(const Recorder& rec, const ExportOptions& opts) {
            ",\"max\":" + NumToJson(s.max()) + ",\"sum\":" + NumToJson(s.sum()) + "}";
   });
   out += ",";
-  AppendObject(out, "ewmas", reg.ewmas(), [](const Ewma& e) {
-    return "{\"value\":" + NumToJson(e.value()) +
-           ",\"has_value\":" + (e.has_value() ? "true" : "false") + "}";
-  });
-  out += ",";
   AppendObject(out, "series", reg.series(), [](const TimeSeries& ts) {
     std::string s = "{\"bin_width_s\":" + NumToJson(ToSeconds(ts.bin_width())) +
                     ",\"bins\":[";
@@ -119,31 +112,11 @@ std::string ToJson(const Recorder& rec, const ExportOptions& opts) {
     }
     return s + "]}";
   });
-  out += ",";
-  AppendObject(out, "histograms", reg.histograms(), [](const Histogram& h) {
-    std::string s = "{\"lo\":" + NumToJson(h.lo()) + ",\"hi\":" + NumToJson(h.hi()) +
-                    ",\"count\":" + std::to_string(h.count()) +
-                    ",\"p50\":" + NumToJson(h.Percentile(50)) +
-                    ",\"p90\":" + NumToJson(h.Percentile(90)) +
-                    ",\"p99\":" + NumToJson(h.Percentile(99)) + ",\"buckets\":[";
-    for (std::size_t i = 0; i < h.num_buckets(); ++i) {
-      if (i > 0) s += ",";
-      s += std::to_string(h.bucket_count(i));
-    }
-    return s + "]}";
-  });
 
   // In-band telemetry journeys: present only when a sink ingested data, so
   // runs without INT keep their pre-INT artifact bytes.
   if (rec.int_collector().HasData()) {
     out += ",\"int\":" + rec.int_collector().ToJsonSection();
-  }
-
-  // Flight-recorder ring: integer fields only, so the section is
-  // deterministic and participates in replay identity (unlike prof).
-  if (rec.flight().HasData()) {
-    out += ",\"flight\":";
-    out += rec.flight().ToJsonSection();
   }
 
   out += ",\"events\":[";
@@ -186,59 +159,6 @@ std::string ToJson(const Recorder& rec, const ExportOptions& opts) {
 
   out += "}";
   return out;
-}
-
-bool WriteJsonFile(const Recorder& rec, const std::string& path) {
-  std::ofstream ofs(path, std::ios::binary);
-  if (!ofs) return false;
-  ofs << ToJson(rec) << "\n";
-  return static_cast<bool>(ofs);
-}
-
-void WriteMetricsCsv(const MetricsRegistry& reg, std::ostream& os) {
-  os << "kind,name,value,count,mean,stddev,min,max\n";
-  for (const auto& [name, c] : reg.counters()) {
-    os << "counter," << name << "," << c.value() << ",,,,,\n";
-  }
-  for (const auto& [name, g] : reg.gauges()) {
-    os << "gauge," << name << "," << NumToJson(g.value()) << ",,,,,\n";
-  }
-  for (const auto& [name, s] : reg.summaries()) {
-    os << "summary," << name << "," << NumToJson(s.sum()) << "," << s.count() << ","
-       << NumToJson(s.mean()) << "," << NumToJson(s.stddev()) << "," << NumToJson(s.min())
-       << "," << NumToJson(s.max()) << "\n";
-  }
-  for (const auto& [name, e] : reg.ewmas()) {
-    os << "ewma," << name << "," << NumToJson(e.value()) << ",,,,,\n";
-  }
-  for (const auto& [name, h] : reg.histograms()) {
-    os << "histogram," << name << "," << NumToJson(h.Percentile(50)) << "," << h.count()
-       << ",,,,\n";
-  }
-}
-
-void WriteSeriesCsv(const MetricsRegistry& reg, std::ostream& os) {
-  os << "name,t_seconds,value\n";
-  for (const auto& [name, ts] : reg.series()) {
-    for (std::size_t i = 0; i < ts.NumBins(); ++i) {
-      os << name << "," << NumToJson(ToSeconds(ts.BinStart(i))) << ","
-         << NumToJson(ts.BinTotal(i)) << "\n";
-    }
-  }
-}
-
-void WriteEventsCsv(const Tracer& tracer, std::ostream& os) {
-  os << "t_seconds,name,fields\n";
-  for (const auto& e : tracer.events()) {
-    os << NumToJson(ToSeconds(e.t)) << "," << e.name << ",\"";
-    bool first = true;
-    for (const auto& f : e.fields) {
-      if (!first) os << ";";
-      first = false;
-      os << f.key << "=" << f.value;
-    }
-    os << "\"\n";
-  }
 }
 
 }  // namespace fastflex::telemetry

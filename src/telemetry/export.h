@@ -1,4 +1,4 @@
-// JSON and CSV serialization of a Recorder.
+// JSON serialization of a Recorder.
 //
 // The JSON artifact ("fastflex.telemetry.v1") is the machine-readable
 // output of every bench: metric families keyed by name in lexicographic
@@ -6,13 +6,8 @@
 // are printed with round-trip precision, so two replays of the same seed
 // produce byte-identical files — the replay regression test depends on
 // this.
-//
-// CSV exporters are for spreadsheet-style diffing of two runs: scalars as
-// `kind,name,value...` rows, series as `name,t_seconds,value` rows, trace
-// events as `t_seconds,name,key=value;...` rows.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "telemetry/telemetry.h"
@@ -31,18 +26,5 @@ struct ExportOptions {
 /// Serializes the whole recorder (metrics + trace) as one JSON document.
 std::string ToJson(const Recorder& rec);
 std::string ToJson(const Recorder& rec, const ExportOptions& opts);
-
-/// Writes ToJson(rec) to `path`; returns false on I/O failure.
-bool WriteJsonFile(const Recorder& rec, const std::string& path);
-
-/// Scalar metrics (counters, gauges, summaries, ewmas, histogram
-/// percentiles), one row per metric.
-void WriteMetricsCsv(const MetricsRegistry& reg, std::ostream& os);
-
-/// Every TimeSeries bin as a long-format row: name,t_seconds,value.
-void WriteSeriesCsv(const MetricsRegistry& reg, std::ostream& os);
-
-/// Trace point events: t_seconds,name,"k=v;k=v".
-void WriteEventsCsv(const Tracer& tracer, std::ostream& os);
 
 }  // namespace fastflex::telemetry

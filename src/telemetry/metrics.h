@@ -1,6 +1,6 @@
 // Metrics registry: named counters, gauges, and the measurement primitives
-// from util/stats.h (Summary, Ewma, TimeSeries, Histogram), looked up by
-// hierarchical dot-separated names ("link.3.dropped_packets").
+// from util/stats.h (Summary, TimeSeries), looked up by hierarchical
+// dot-separated names ("link.3.dropped_packets").
 //
 // Lookup is a map walk, so hot paths resolve their metrics once (at
 // attach time) and keep the returned reference: references handed out by
@@ -46,48 +46,35 @@ class Gauge {
 
 class MetricsRegistry {
  public:
-  /// Get-or-create by name.  The parameters of GetSeries / GetEwma /
-  /// GetHistogram apply only on first creation.
+  /// Get-or-create by name.  GetSeries' bin width applies only on first
+  /// creation.
   Counter& GetCounter(const std::string& name) { return counters_[name]; }
   Gauge& GetGauge(const std::string& name) { return gauges_[name]; }
   Summary& GetSummary(const std::string& name) { return summaries_[name]; }
-  Ewma& GetEwma(const std::string& name, double tau_seconds = 0.1) {
-    return ewmas_.try_emplace(name, tau_seconds).first->second;
-  }
   TimeSeries& GetSeries(const std::string& name, SimTime bin_width = kSecond) {
     return series_.try_emplace(name, bin_width).first->second;
-  }
-  Histogram& GetHistogram(const std::string& name, double lo, double hi,
-                          std::size_t buckets) {
-    return histograms_.try_emplace(name, lo, hi, buckets).first->second;
   }
 
   // Sorted views for exporters.
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, Summary>& summaries() const { return summaries_; }
-  const std::map<std::string, Ewma>& ewmas() const { return ewmas_; }
   const std::map<std::string, TimeSeries>& series() const { return series_; }
-  const std::map<std::string, Histogram>& histograms() const { return histograms_; }
 
   std::size_t size() const {
-    return counters_.size() + gauges_.size() + summaries_.size() + ewmas_.size() +
-           series_.size() + histograms_.size();
+    return counters_.size() + gauges_.size() + summaries_.size() + series_.size();
   }
 
   bool Has(const std::string& name) const {
     return counters_.contains(name) || gauges_.contains(name) ||
-           summaries_.contains(name) || ewmas_.contains(name) ||
-           series_.contains(name) || histograms_.contains(name);
+           summaries_.contains(name) || series_.contains(name);
   }
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Summary> summaries_;
-  std::map<std::string, Ewma> ewmas_;
   std::map<std::string, TimeSeries> series_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 namespace metrics_internal {

@@ -2,7 +2,8 @@
 // tracer, attached to a run.  Counters stay in the component that does the
 // work and are copied into the registry by a CollectTelemetry pass at the
 // end of the run; ordered records (alarms, mode changes, fault and elastic
-// decisions) are Tracer point events.
+// decisions, queue spikes) are Tracer point events, the run's one ordered
+// record stream.
 //
 // Instrumented components take a `Recorder*` where nullptr means disabled;
 // the disabled path must cost exactly one branch per hook (the same
@@ -11,7 +12,6 @@
 // name lookups either.
 #pragma once
 
-#include "telemetry/flight_recorder.h"
 #include "telemetry/int_collector.h"
 #include "telemetry/metrics.h"
 #include "telemetry/prof.h"
@@ -40,18 +40,11 @@ class Recorder {
   Profiler& prof() { return prof_; }
   const Profiler& prof() const { return prof_; }
 
-  /// Always-on black box: bounded ring of recent notable events, dumped on
-  /// crash/breach/request.  Exported as the deterministic "flight" section
-  /// when it holds any data.
-  FlightRecorder& flight() { return flight_; }
-  const FlightRecorder& flight() const { return flight_; }
-
  private:
   MetricsRegistry metrics_;
   Tracer trace_;
   IntCollector int_;
   Profiler prof_;
-  FlightRecorder flight_;
 };
 
 }  // namespace fastflex::telemetry

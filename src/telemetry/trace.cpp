@@ -52,9 +52,4 @@ std::vector<const TraceEvent*> Tracer::EventsWithPrefix(std::string_view prefix)
   return out;
 }
 
-void Tracer::Clear() {
-  events_.clear();
-  spans_.clear();
-}
-
 }  // namespace fastflex::telemetry

@@ -11,13 +11,16 @@
 //                                   machinery did about them (a field is
 //                                   present only where it applies)
 //   elastic.<action>.<booster>{sw}  the elastic control loop's decisions
+//   link.queue_spike{link, queued, capacity}
+//                                   a link's transmit queue first crossing
+//                                   half its capacity (bytes); the latch
+//                                   re-arms once it drains under a quarter
 //
 // Recording is append-only vectors; the tracer never touches the event
 // queue or any simulation state, so attaching one cannot perturb a run.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -78,34 +81,10 @@ class Tracer {
   /// family of records, e.g. "fault." or "elastic.scale_up.".
   std::vector<const TraceEvent*> EventsWithPrefix(std::string_view prefix) const;
 
-  void Clear();
-
  private:
   std::vector<TraceEvent> events_;
   std::vector<TraceSpan> spans_;
   std::uint64_t next_span_id_ = 1;
-};
-
-/// RAII span for synchronous (non-event-driven) sections: closes at the
-/// time the supplied clock reads on destruction.
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer& tracer, std::function<SimTime()> clock, std::string name,
-             Tracer::Fields fields = {})
-      : tracer_(tracer), clock_(std::move(clock)) {
-    id_ = tracer_.OpenSpan(clock_(), std::move(name), fields);
-  }
-  ~ScopedSpan() { tracer_.CloseSpan(id_, clock_()); }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  std::uint64_t id() const { return id_; }
-
- private:
-  Tracer& tracer_;
-  std::function<SimTime()> clock_;
-  std::uint64_t id_ = 0;
 };
 
 }  // namespace fastflex::telemetry

@@ -33,25 +33,6 @@ std::string Summary::ToString() const {
   return os.str();
 }
 
-void Ewma::Update(double sample, SimTime now) {
-  if (!has_value_) {
-    value_ = sample;
-    has_value_ = true;
-  } else {
-    const double dt = ToSeconds(now - last_);
-    const double alpha = dt <= 0.0 ? 1.0 : 1.0 - std::exp(-dt / tau_);
-    value_ += alpha * (sample - value_);
-  }
-  last_ = now;
-}
-
-double Ewma::ValueAt(SimTime now) const {
-  if (!has_value_) return 0.0;
-  const double dt = ToSeconds(now - last_);
-  if (dt <= 0.0) return value_;
-  return value_ * std::exp(-dt / tau_);
-}
-
 void TimeSeries::Add(SimTime t, double amount) {
   if (t < 0) t = 0;
   const std::size_t bin = static_cast<std::size_t>(t / bin_width_);
@@ -63,31 +44,6 @@ double TimeSeries::BinTotal(std::size_t i) const { return i < bins_.size() ? bin
 
 double TimeSeries::Rate(std::size_t i) const {
   return BinTotal(i) / ToSeconds(bin_width_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), buckets_(buckets, 0) {}
-
-void Histogram::Add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::int64_t>(frac * static_cast<double>(buckets_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(buckets_.size()) - 1);
-  ++buckets_[static_cast<std::size_t>(idx)];
-  ++count_;
-}
-
-double Histogram::Percentile(double p) const {
-  if (count_ == 0) return 0.0;
-  const double target = p / 100.0 * static_cast<double>(count_);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (static_cast<double>(seen) >= target) {
-      const double width = (hi_ - lo_) / static_cast<double>(buckets_.size());
-      return lo_ + (static_cast<double>(i) + 0.5) * width;
-    }
-  }
-  return hi_;
 }
 
 }  // namespace fastflex

@@ -1,12 +1,11 @@
-// Statistics collection: running summaries, EWMAs, time-binned series.
+// Statistics collection: running summaries and time-binned series.
 //
 // These are the measurement primitives behind every figure we regenerate:
-// Figure 3 is a TimeSeries of normal-flow goodput; link utilization and
-// mode-change latency reports use Summary and Ewma.
+// Figure 3 is a TimeSeries of normal-flow goodput; the TCP cwnd-at-loss
+// and event-queue occupancy reports are Summaries.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,29 +37,6 @@ class Summary {
   double sum_ = 0.0;
 };
 
-/// Exponentially weighted moving average with a configurable time constant.
-/// Used for link-load monitoring in the LFA detector: util(t) decays toward
-/// the instantaneous rate with time constant tau.
-class Ewma {
- public:
-  explicit Ewma(double tau_seconds = 0.1) : tau_(tau_seconds) {}
-
-  /// Folds in a new sample observed at absolute time `now`.
-  void Update(double sample, SimTime now);
-
-  /// Value decayed to `now` without adding a sample.
-  double ValueAt(SimTime now) const;
-
-  double value() const { return value_; }
-  bool has_value() const { return has_value_; }
-
- private:
-  double tau_;
-  double value_ = 0.0;
-  SimTime last_ = 0;
-  bool has_value_ = false;
-};
-
 /// Accumulates a quantity into fixed-width time bins; Rate() converts a bin
 /// to per-second units.  This produces the x/y series for Figure 3.
 class TimeSeries {
@@ -86,29 +62,6 @@ class TimeSeries {
  private:
   SimTime bin_width_;
   std::vector<double> bins_;
-};
-
-/// Simple fixed-bucket histogram over [lo, hi); out-of-range values clamp to
-/// the edge buckets.  Used for latency distributions in benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-  double Percentile(double p) const;  // p in [0,100]
-  std::size_t count() const { return count_; }
-
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t num_buckets() const { return buckets_.size(); }
-  std::uint64_t bucket_count(std::size_t i) const {
-    return i < buckets_.size() ? buckets_[i] : 0;
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> buckets_;
-  std::size_t count_ = 0;
 };
 
 }  // namespace fastflex

@@ -98,62 +98,6 @@ TEST(EventQueueTest, SameTimeFifoSurvivesInterleavedPops) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(EventQueueTest, ScheduleBulkInterleavesWithSinglesInCallOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.ScheduleAt(10, [&] { order.push_back(0); });  // before the batch
-  std::vector<EventQueue::TimedEvent> batch;
-  for (int i = 1; i <= 3; ++i) {
-    batch.push_back({10, [&order, i] { order.push_back(i); }});
-  }
-  batch.push_back({5, [&order] { order.push_back(100); }});
-  q.ScheduleBulk(std::move(batch));
-  q.ScheduleAt(10, [&] { order.push_back(4); });  // after the batch
-  q.RunAll();
-  EXPECT_EQ(order, (std::vector<int>{100, 0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueTest, ScheduleBulkMatchesSingleAdmission) {
-  // Property: bulk admission (Floyd rebuild path) pops in exactly the
-  // order per-event admission (sift-up path) would.
-  std::vector<SimTime> times;
-  for (int i = 0; i < 200; ++i) times.push_back((i * 37) % 50);
-
-  std::vector<int> single_order;
-  EventQueue single;
-  for (int i = 0; i < 200; ++i) {
-    single.ScheduleAt(times[static_cast<std::size_t>(i)],
-                      [&single_order, i] { single_order.push_back(i); });
-  }
-  single.RunAll();
-
-  std::vector<int> bulk_order;
-  EventQueue bulk;
-  std::vector<EventQueue::TimedEvent> batch;
-  for (int i = 0; i < 200; ++i) {
-    batch.push_back({times[static_cast<std::size_t>(i)],
-                     [&bulk_order, i] { bulk_order.push_back(i); }});
-  }
-  bulk.ScheduleBulk(std::move(batch));
-  bulk.RunAll();
-
-  EXPECT_EQ(single_order, bulk_order);
-}
-
-TEST(EventQueueTest, ScheduleBulkClampsPastTimesToNow) {
-  EventQueue q;
-  q.ScheduleAt(100, [] {});
-  q.RunAll();
-  ASSERT_EQ(q.Now(), 100);
-  std::vector<SimTime> fired;
-  std::vector<EventQueue::TimedEvent> batch;
-  batch.push_back({20, [&] { fired.push_back(q.Now()); }});  // in the past
-  batch.push_back({150, [&] { fired.push_back(q.Now()); }});
-  q.ScheduleBulk(std::move(batch));
-  q.RunAll();
-  EXPECT_EQ(fired, (std::vector<SimTime>{100, 150}));
-}
-
 TEST(EventQueueTest, ReserveDoesNotDisturbPendingEvents) {
   EventQueue q;
   std::vector<int> order;
@@ -378,14 +322,14 @@ TEST(EventQueueTest, MatchesOrderedMapModelUnderMixedOperations) {
     };
     for (int step = 0; step < 3000; ++step) {
       const std::int64_t op = rng.UniformInt(0, 99);
-      if (op < 38) {  // may land in the past: clamps to Now()
+      if (op < 42) {  // may land in the past: clamps to Now()
         const SimTime t = m.now + rng.UniformInt(-5, 40);
         const int id = next_id++;
         m.Admit(t, id);
         h.q.ScheduleAt(t, h.Make(id));
-      } else if (op < 46) {  // reserve a key, admitted later or never
+      } else if (op < 50) {  // reserve a key, admitted later or never
         held.push_back({reserve(m.now + rng.UniformInt(0, 40)), next_id++});
-      } else if (op < 54) {  // admit a held key, unless it was reached first
+      } else if (op < 58) {  // admit a held key, unless it was reached first
         if (held.empty()) continue;
         const std::size_t i = pick(held);
         const Held r = held[i];
@@ -395,7 +339,7 @@ TEST(EventQueueTest, MatchesOrderedMapModelUnderMixedOperations) {
         if (m.Reached(r.key)) continue;  // never admitted
         m.AdmitReserved(r.key, r.id);
         h.q.ScheduleAt(r.key.first, r.key.second, h.Make(r.id));
-      } else if (op < 60) {  // query held and fired keys
+      } else if (op < 64) {  // query held and fired keys
         if (!held.empty()) {
           const Key k = held[pick(held)].key;
           ASSERT_EQ(h.q.Reached(k.first, k.second), m.Reached(k));
@@ -404,16 +348,6 @@ TEST(EventQueueTest, MatchesOrderedMapModelUnderMixedOperations) {
           const Key k = m.fired[pick(m.fired)];
           ASSERT_TRUE(h.q.Reached(k.first, k.second));
         }
-      } else if (op < 64) {  // sizes straddle the sift-up / rebuild cut-off
-        std::vector<EventQueue::TimedEvent> batch;
-        const std::int64_t n = rng.UniformInt(1, 40);
-        for (std::int64_t i = 0; i < n; ++i) {
-          const SimTime t = m.now + rng.UniformInt(-5, 60);
-          const int id = next_id++;
-          m.Admit(t, id);
-          batch.push_back({t, h.Make(id)});
-        }
-        h.q.ScheduleBulk(std::move(batch));
       } else if (op < 84) {
         const SimTime cap = m.now + rng.UniformInt(-2, 20);
         const bool runs = m.Front() <= cap;

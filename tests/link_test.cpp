@@ -129,25 +129,25 @@ TEST(LinkTest, ReaderAtDepartInstantSeesSeqOrder) {
   EXPECT_EQ(after_send, 0u);
 }
 
-/// Queue-spike flight records from two 6 x 1000 B bursts into a 10 kB
-/// queue on the 8 Mb/s link (one departure per ms), the second sent
-/// `gap` after the first.
-std::size_t QueueSpikes(SimTime gap) {
+/// Records two 6 x 1000 B bursts into a 10 kB queue on the 8 Mb/s link
+/// (one departure per ms), the second sent `gap` after the first.
+void RunTwoBursts(SimTime gap, telemetry::Recorder& rec) {
   Line line(8e6, 10'000);
   Network net(line.t, 1);
   control::InstallDstRoutes(net);
-  telemetry::Recorder rec;
   net.SetTelemetry(&rec);
   for (int burst = 0; burst < 2; ++burst) {
     if (burst == 1) net.RunUntil(gap);
     for (int i = 0; i < 6; ++i) net.SendOnLink(line.mid, MakeUdp(net, line.s1, line.h2, 1000));
   }
   net.RunUntil(kSecond);
-  std::size_t spikes = 0;
-  for (const auto& r : rec.flight().Snapshot()) {
-    if (r.kind == telemetry::FlightKind::kQueueSpike) ++spikes;
-  }
-  return spikes;
+}
+
+/// link.queue_spike events recorded by RunTwoBursts(gap).
+std::size_t QueueSpikes(SimTime gap) {
+  telemetry::Recorder rec;
+  RunTwoBursts(gap, rec);
+  return rec.trace().CountOf("link.queue_spike");
 }
 
 TEST(LinkTest, QueueSpikeLatchRearmsAfterDrain) {
@@ -157,6 +157,16 @@ TEST(LinkTest, QueueSpikeLatchRearmsAfterDrain) {
   EXPECT_EQ(QueueSpikes(4 * kMillisecond), 2u);    // 4 departed: 2000 B left
   EXPECT_EQ(QueueSpikes(3 * kMillisecond), 1u);    // 3 departed: 3000 B left
   EXPECT_EQ(QueueSpikes(0), 1u);                   // no drain
+
+  // The event names the link and the queue at the crossing: the sixth
+  // packet of the first burst lifts it past half capacity.
+  telemetry::Recorder rec;
+  RunTwoBursts(0, rec);
+  const auto spikes = rec.trace().EventsNamed("link.queue_spike");
+  ASSERT_EQ(spikes.size(), 1u);
+  EXPECT_EQ(spikes[0]->Field("link"), Line().mid);
+  EXPECT_EQ(spikes[0]->Field("queued"), 6000);
+  EXPECT_EQ(spikes[0]->Field("capacity"), 10'000);
 }
 
 TEST(LinkTest, LinkDownDropsAreCounted) {

@@ -1,8 +1,7 @@
 // Unit tests for the self-observability layer: the sampling profiler
-// (exact site counts, subtree sampling, the deterministic export view),
-// the flight-recorder ring, and the exporter edge cases the
-// replay-identity guarantee leans on (prof section isolation, optional
-// sections, large-count histograms).
+// (exact site counts, subtree sampling, the deterministic export view) and
+// the exporter edge cases the replay-identity guarantee leans on (prof
+// section isolation, optional sections).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,7 +9,6 @@
 #include <string>
 
 #include "telemetry/export.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/prof.h"
 #include "telemetry/telemetry.h"
 
@@ -191,48 +189,6 @@ TEST(Profiler, RareTopLevelSiteEstimatesItsCallsNotTheStride) {
   EXPECT_DOUBLE_EQ(prof.EstimateNs(*child), 2.0 * static_cast<double>(child->sampled_ns));
 }
 
-// ---------------------------------------------------------- FlightRecorder
-
-TEST(FlightRecorder, RingOverwritesOldestOnceFull) {
-  FlightRecorder fr(4);
-  for (int i = 0; i < 6; ++i) {
-    fr.Record(i * kSecond, FlightKind::kLinkDrop, i);
-  }
-  EXPECT_EQ(fr.size(), 4u);
-  EXPECT_EQ(fr.total(), 6u);
-  EXPECT_EQ(fr.overwritten(), 2u);
-  const auto snap = fr.Snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap.front().a, 2);  // oldest surviving record first
-  EXPECT_EQ(snap.back().a, 5);
-}
-
-TEST(FlightRecorder, CountsByKindAndDumpSemantics) {
-  FlightRecorder fr;
-  fr.Record(1, FlightKind::kModeFlip, 4, 0x3, 1);
-  fr.Record(2, FlightKind::kAlarm, 4, 0x1, 1);
-  fr.Record(3, FlightKind::kModeFlip, 5, 0x3, 1);
-  EXPECT_EQ(fr.CountOf(FlightKind::kModeFlip), 2u);
-  EXPECT_EQ(fr.CountOf(FlightKind::kAlarm), 1u);
-  EXPECT_EQ(fr.CountOf(FlightKind::kSwitchCrash), 0u);
-
-  const std::string dump = fr.RequestDump("unit_test", 4);
-  EXPECT_NE(dump.find("\"reason\":\"unit_test\""), std::string::npos);
-  EXPECT_EQ(fr.dumps(), 1u);
-  EXPECT_EQ(fr.last_dump(), dump);
-  // The cut itself is recorded, so a later dump shows where the first was.
-  EXPECT_EQ(fr.CountOf(FlightKind::kDump), 1u);
-}
-
-TEST(FlightRecorder, JsonSectionCarriesCountsAndRing) {
-  FlightRecorder fr(8);
-  fr.Record(7, FlightKind::kQueueSpike, 3, 900, 1000);
-  const std::string json = fr.ToJsonSection();
-  EXPECT_NE(json.find("\"counts\":{\"queue_spike\":1}"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"queue_spike\""), std::string::npos);
-  EXPECT_NE(json.find("\"capacity\":8"), std::string::npos);
-}
-
 // ----------------------------------------------------------- Export edges
 
 TEST(Export, EmptyRecorderOmitsOptionalSections) {
@@ -245,8 +201,10 @@ TEST(Export, EmptyRecorderOmitsOptionalSections) {
   EXPECT_EQ(json.find("\"int\":"), std::string::npos);
   EXPECT_EQ(json.find("\"fault."), std::string::npos);
   EXPECT_EQ(json.find("syn_proxy"), std::string::npos);
-  EXPECT_EQ(json.find("\"flight\":"), std::string::npos);
   EXPECT_EQ(json.find("\"prof\":"), std::string::npos);
+  // The registry has no EWMA or histogram kind, so neither key appears.
+  EXPECT_EQ(json.find("\"ewmas\""), std::string::npos);
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
 }
 
 TEST(Export, ProfSectionOnlyWhenEnabledAndRequested) {
@@ -270,11 +228,10 @@ TEST(Export, NonProfSectionsByteIdenticalProfOnVsOff) {
     m.GetCounter("walks").Inc(42);
     m.GetGauge("mode").Set(3.0);
     m.GetSeries("goodput", kSecond).Add(2 * kSecond, 0.75);
-    auto& h = m.GetHistogram("lat_ms", 0.0, 50.0, 10);
-    h.Add(3.5);
-    h.Add(49.0);
+    m.GetSummary("cwnd").Add(3.5);
+    m.GetSummary("cwnd").Add(49.0);
     rec.trace().Event(5, "alarm", {{"switch", 2}});
-    rec.flight().Record(5, FlightKind::kAlarm, 2, 1, 0);
+    rec.trace().Event(6, "link.queue_spike", {{"link", 3}, {"queued", 900}, {"capacity", 1000}});
   };
   Recorder off;
   Recorder on;
@@ -289,20 +246,6 @@ TEST(Export, NonProfSectionsByteIdenticalProfOnVsOff) {
   const ExportOptions no_prof{.include_prof = false};
   EXPECT_EQ(ToJson(off, no_prof), ToJson(on, no_prof));
   EXPECT_NE(ToJson(off, no_prof), ToJson(on));  // full export does differ
-}
-
-TEST(Export, LargeCountHistogramSerializesConsistently) {
-  Recorder rec;
-  auto& h = rec.metrics().GetHistogram("big", 0.0, 1.0, 4);
-  for (int i = 0; i < 200000; ++i) h.Add((i % 100) / 100.0);
-  h.Add(-5.0);  // clamps to the lowest bucket
-  h.Add(9.0);   // clamps to the highest bucket
-  const std::string json = ToJson(rec);
-  EXPECT_NE(json.find("\"count\":200002"), std::string::npos);
-  std::uint64_t bucket_sum = 0;
-  for (std::size_t i = 0; i < h.num_buckets(); ++i) bucket_sum += h.bucket_count(i);
-  EXPECT_EQ(bucket_sum, 200002u);
-  EXPECT_GE(h.Percentile(99), h.Percentile(50));
 }
 
 TEST(Export, ExporterMeasuresItselfWithoutSelfReference) {

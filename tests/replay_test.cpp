@@ -45,6 +45,9 @@ TEST(Replay, SameSeedProducesBitIdenticalTelemetryJson) {
   // only bit-identical in an interesting way if modes flipped and the
   // result series is populated.
   EXPECT_GT(rec1.trace().CountOf("mode_change"), 0u);
+  // The attack fills some link past half its queue: the queue-spike
+  // watermark replays too.
+  EXPECT_GT(rec1.trace().CountOf("link.queue_spike"), 0u);
   EXPECT_FALSE(r1.normalized.empty());
   EXPECT_EQ(r1.normalized.size(), r2.normalized.size());
   EXPECT_GT(r1.first_alarm, 0);

@@ -54,76 +54,6 @@ TEST(SummaryProperty, SingleSampleHasZeroVariance) {
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
-// ---- Ewma: ValueAt must decay monotonically toward zero ----
-
-TEST(EwmaProperty, ValueAtDecaysMonotonically) {
-  Rng rng(7);
-  for (int trial = 0; trial < 10; ++trial) {
-    Ewma e(rng.Uniform(0.01, 1.0));
-    const SimTime t0 = static_cast<SimTime>(rng.Next() % kSecond);
-    e.Update(rng.Uniform(0.5, 100.0), t0);
-
-    double prev = e.ValueAt(t0);
-    EXPECT_DOUBLE_EQ(prev, e.value());
-    for (int k = 1; k <= 50; ++k) {
-      const SimTime t = t0 + k * 20 * kMillisecond;
-      const double v = e.ValueAt(t);
-      EXPECT_LE(v, prev) << "decay must be monotone at step " << k;
-      EXPECT_GE(v, 0.0);
-      prev = v;
-    }
-    // After many time constants the value is effectively gone.
-    EXPECT_LT(e.ValueAt(t0 + 100 * kSecond), 1e-6);
-  }
-}
-
-TEST(EwmaProperty, UpdateMovesTowardSample) {
-  Ewma e(0.1);
-  e.Update(10.0, 0);
-  const double before = e.ValueAt(50 * kMillisecond);
-  e.Update(20.0, 50 * kMillisecond);
-  // New value must land strictly between the decayed old value and the
-  // sample (convex combination).
-  EXPECT_GT(e.value(), before);
-  EXPECT_LT(e.value(), 20.0);
-}
-
-// ---- Histogram: Percentile monotone in p, clamped to [lo, hi] ----
-
-TEST(HistogramProperty, PercentileMonotoneAndClamped) {
-  Rng rng(11);
-  for (int trial = 0; trial < 10; ++trial) {
-    const double lo = rng.Uniform(-100.0, 0.0);
-    const double hi = lo + rng.Uniform(1.0, 200.0);
-    Histogram h(lo, hi, 1 + rng.Next() % 64);
-    const std::size_t n = 1 + rng.Next() % 5000;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Deliberately overshoot the range on both sides: out-of-range
-      // samples must clamp to the edge buckets, not be dropped.
-      h.Add(rng.Uniform(lo - 10.0, hi + 10.0));
-    }
-    ASSERT_EQ(h.count(), n);
-
-    double prev = h.Percentile(0);
-    for (double p : {1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0}) {
-      const double v = h.Percentile(p);
-      EXPECT_GE(v, prev) << "percentile must be monotone in p at p=" << p;
-      EXPECT_GE(v, lo);
-      EXPECT_LE(v, hi);
-      prev = v;
-    }
-  }
-}
-
-TEST(HistogramProperty, BucketCountsSumToCount) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 250; ++i) h.Add(static_cast<double>(i % 14) - 2.0);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < h.num_buckets(); ++i) total += h.bucket_count(i);
-  EXPECT_EQ(total, h.count());
-  EXPECT_EQ(h.bucket_count(h.num_buckets()), 0u);  // out-of-range index
-}
-
 // ---- TimeSeries: zero-filled bins, sum-preserving ----
 
 TEST(TimeSeriesProperty, ZeroFilledAndSumPreserving) {

@@ -134,25 +134,6 @@ TEST(SummaryTest, EmptySummaryIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(EwmaTest, ConvergesToConstantInput) {
-  Ewma e(0.1);
-  for (int i = 0; i < 100; ++i) e.Update(10.0, i * 10 * kMillisecond);
-  EXPECT_NEAR(e.value(), 10.0, 0.01);
-}
-
-TEST(EwmaTest, DecaysTowardZeroWithoutSamples) {
-  Ewma e(0.1);
-  e.Update(10.0, 0);
-  EXPECT_LT(e.ValueAt(kSecond), 1.0);  // 10 time constants later
-  EXPECT_GT(e.ValueAt(10 * kMillisecond), 8.0);
-}
-
-TEST(EwmaTest, FirstSampleTakenVerbatim) {
-  Ewma e(1.0);
-  e.Update(42.0, 5 * kSecond);
-  EXPECT_DOUBLE_EQ(e.value(), 42.0);
-}
-
 TEST(TimeSeriesTest, BinsAccumulateAndRate) {
   TimeSeries ts(kSecond);
   ts.Add(100 * kMillisecond, 10.0);
@@ -168,24 +149,6 @@ TEST(TimeSeriesTest, NegativeTimesClampToFirstBin) {
   TimeSeries ts(kSecond);
   ts.Add(-5, 3.0);
   EXPECT_DOUBLE_EQ(ts.BinTotal(0), 3.0);
-}
-
-TEST(HistogramTest, PercentilesOrdered) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.Add(static_cast<double>(i % 100));
-  const double p50 = h.Percentile(50);
-  const double p99 = h.Percentile(99);
-  EXPECT_LT(p50, p99);
-  EXPECT_NEAR(p50, 50.0, 2.0);
-}
-
-TEST(HistogramTest, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-100.0);
-  h.Add(1000.0);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_LT(h.Percentile(10), 1.0);
-  EXPECT_GT(h.Percentile(90), 9.0);
 }
 
 }  // namespace

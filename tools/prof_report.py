@@ -4,8 +4,7 @@
 Input: a full telemetry JSON written with profiling enabled (e.g. the
 TELEMETRY_fig3_prof.json companion artifact of bench_prof), whose "prof"
 section carries the sampled attribution tree, exact per-site call counts
-and event-queue occupancy.  The optional "flight" section (always present
-on instrumented runs) adds the black-box ring summary.
+and event-queue occupancy.
 
 Reading the numbers:
   - calls are exact (every site entry increments a flat counter);
@@ -122,20 +121,6 @@ def main():
               f"(wall, non-prof sections)")
         print()
 
-    # ---- Flight-recorder summary ----
-    flight = doc.get("flight")
-    if flight:
-        counts = flight.get("counts", flight)
-        print(f"## Flight recorder: {flight.get('total', '?')} records "
-              f"(capacity {flight.get('capacity', '?')}, "
-              f"overwritten {flight.get('overwritten', '?')})")
-        if isinstance(counts, dict):
-            kinds = {k: v for k, v in counts.items()
-                     if isinstance(v, int) and v > 0 and k not in
-                     ("total", "capacity", "overwritten", "dumps")}
-            if kinds:
-                for k, v in sorted(kinds.items(), key=lambda kv: -kv[1]):
-                    print(f"  {k:<16} {v}")
     return 0
 
 
