@@ -40,9 +40,11 @@ class FlowTable {
   /// Finds or creates the entry for `key`; returns nullptr if the slot is
   /// held by a live (non-stale) different flow.
   FlowState* Lookup(std::uint64_t key, SimTime now) {
-    FlowState& slot = table_[Index(key)];
+    const std::size_t idx = Index(key);
+    FlowState& slot = table_[idx];
     if (slot.occupied && slot.key == key) return &slot;
     if (slot.occupied && now - slot.last_seen < stale_timeout_) return nullptr;
+    if (!slot.occupied) live_.push_back(static_cast<std::uint32_t>(idx));
     slot = FlowState{};
     slot.key = key;
     slot.first_seen = now;
@@ -59,19 +61,22 @@ class FlowTable {
   }
 
   void Reset() {
-    for (auto& s : table_) s = FlowState{};
+    for (std::uint32_t i : live_) table_[i] = FlowState{};
+    live_.clear();
   }
 
-  /// Applies `fn` to every occupied entry.
+  /// Applies `fn` to every occupied entry exactly once, in the order the
+  /// slots were first occupied (not slot order).  Only occupied slots are
+  /// read, so a sweep costs the live flow count, not the table size.
   void ForEach(const std::function<void(const FlowState&)>& fn) const {
-    for (const auto& s : table_)
-      if (s.occupied) fn(s);
+    for (std::uint32_t i : live_) fn(table_[i]);
   }
 
   std::size_t slot_count() const { return slots_; }
   std::uint64_t installs() const { return installs_; }
   std::size_t MemoryBytes() const { return table_.size() * sizeof(FlowState); }
 
+  /// Slot order: this is the state-transfer wire format.
   std::vector<std::uint64_t> ExportWords() const {
     std::vector<std::uint64_t> words;
     words.reserve(table_.size() * 4);
@@ -87,7 +92,9 @@ class FlowTable {
 
   void ImportWords(const std::vector<std::uint64_t>& words, SimTime now) {
     for (std::size_t i = 0; i + 3 < words.size(); i += 4) {
-      FlowState& slot = table_[Index(words[i])];
+      const std::size_t idx = Index(words[i]);
+      FlowState& slot = table_[idx];
+      if (!slot.occupied) live_.push_back(static_cast<std::uint32_t>(idx));
       slot.key = words[i];
       slot.packets = words[i + 1];
       slot.bytes = words[i + 2];
@@ -107,6 +114,7 @@ class FlowTable {
   std::uint64_t seed_;
   std::uint64_t installs_ = 0;
   std::vector<FlowState> table_;
+  std::vector<std::uint32_t> live_;  // indices of occupied slots, first-occupancy order
 };
 
 }  // namespace fastflex::dataplane

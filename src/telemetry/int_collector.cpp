@@ -1,5 +1,6 @@
 #include "telemetry/int_collector.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -26,6 +27,11 @@ std::string PathToJson(const std::vector<NodeId>& path) {
   return s + "]";
 }
 
+bool SamePath(const std::vector<NodeId>& path, const std::vector<IntHopRecord>& hops) {
+  return std::equal(path.begin(), path.end(), hops.begin(), hops.end(),
+                    [](NodeId sw, const IntHopRecord& h) { return sw == h.switch_id; });
+}
+
 }  // namespace
 
 std::vector<NodeId> IntJourney::PathSwitches() const {
@@ -45,8 +51,6 @@ void IntCollector::Ingest(IntJourney journey) {
   records_ += journey.hops.size();
   dropped_hop_records_ += journey.dropped_hops;
   if (journey.dropped_hops > 0) ++truncated_journeys_;
-
-  const std::vector<NodeId> path = journey.PathSwitches();
 
   for (const auto& h : journey.hops) {
     IntHopStats& s = hops_[h.switch_id];
@@ -117,21 +121,39 @@ void IntCollector::Ingest(IntJourney journey) {
       }
     }
 
-    if (f.journeys > 1 && path != f.last_path) {
-      ++f.path_changes;
-      ++path_churn_total_;
-      if (churn_events_.size() < kChurnEventCap) {
-        churn_events_.push_back(
-            {journey.completed_at, journey.flow, journey.seq, f.last_path, path});
-      } else {
-        ++churn_events_dropped_;
+    // The path is materialized only when it differs from the last one,
+    // which includes a flow's first journey (never counted as churn).
+    if (!SamePath(f.last_path, journey.hops)) {
+      std::vector<NodeId> path = journey.PathSwitches();
+      if (f.journeys > 1) {
+        ++f.path_changes;
+        ++path_churn_total_;
+        if (churn_events_.size() < kChurnEventCap) {
+          churn_events_.push_back(
+              {journey.completed_at, journey.flow, journey.seq, std::move(f.last_path), path});
+        } else {
+          ++churn_events_dropped_;
+        }
       }
+      f.last_path = std::move(path);
     }
-    f.last_path = path;
   }
 
-  if (recent_.size() >= kRecentCap) recent_.erase(recent_.begin());
-  recent_.push_back(std::move(journey));
+  if (recent_.size() < kRecentCap) {
+    recent_.push_back(std::move(journey));
+  } else {
+    recent_[recent_next_] = std::move(journey);
+  }
+  recent_next_ = (recent_next_ + 1) % kRecentCap;
+}
+
+std::vector<IntJourney> IntCollector::recent_journeys() const {
+  // Once the ring is full recent_next_ is the oldest entry; before, it is
+  // recent_.size().  Either way the two halves read oldest first.
+  const auto split = recent_.begin() + static_cast<std::ptrdiff_t>(recent_next_);
+  std::vector<IntJourney> out(split, recent_.end());
+  out.insert(out.end(), recent_.begin(), split);
+  return out;
 }
 
 std::optional<IntCollector::HotHop> IntCollector::HottestHop(SimTime from,
@@ -279,6 +301,7 @@ void IntCollector::Reset() {
   mode_observations_.clear();
   churn_events_.clear();
   recent_.clear();
+  recent_next_ = 0;
 }
 
 }  // namespace fastflex::telemetry

@@ -131,8 +131,10 @@ class IntCollector {
   }
   const std::vector<IntChurnEvent>& churn_events() const { return churn_events_; }
 
-  /// The most recent journeys, oldest first (bounded ring; for tests).
-  const std::vector<IntJourney>& recent_journeys() const { return recent_; }
+  /// The last kRecentCap journeys, oldest first (a copy of the bounded
+  /// ring; for tests).
+  static constexpr std::size_t kRecentCap = 64;
+  std::vector<IntJourney> recent_journeys() const;
 
   // ---- Diagnosis queries ----
 
@@ -155,7 +157,6 @@ class IntCollector {
   void Reset();
 
  private:
-  static constexpr std::size_t kRecentCap = 64;
   static constexpr std::size_t kModeObservationCap = 1024;
   static constexpr std::size_t kChurnEventCap = 512;
 
@@ -175,7 +176,10 @@ class IntCollector {
   std::map<std::uint32_t, SimTime> first_mode_seen_;
   std::vector<IntModeObservation> mode_observations_;
   std::vector<IntChurnEvent> churn_events_;
+  /// Bounded ring: fills to kRecentCap, then each journey overwrites the
+  /// oldest one, at recent_next_.
   std::vector<IntJourney> recent_;
+  std::size_t recent_next_ = 0;
 };
 
 }  // namespace fastflex::telemetry

@@ -41,6 +41,7 @@ void Profiler::Enable(std::uint32_t stride) {
   std::uint32_t pow2 = 1;
   while (pow2 < stride) pow2 <<= 1;
   mask_ = pow2 - 1;
+  gate_ = mask_;
   enabled_ = true;
   // Reserve the full arena first: node pointers must stay stable for the
   // lifetime of the profiler (the tree links by pointer).  Then pre-create

@@ -23,7 +23,7 @@
 // captures its complete subtree: the hierarchy inside a sample is exact,
 // and a parent's sampled time always includes its children's.  Because a
 // scope publishes its position only while sampled, the un-sampled path
-// costs one counter increment and two predicted branches — cheap enough
+// costs one counter increment and one predicted branch — cheap enough
 // to leave on the per-packet pipeline walk (the bench gate pins
 // profiler-on overhead at <= 1.05x there).
 //
@@ -174,6 +174,11 @@ class Profiler {
 
   bool enabled_ = false;
   std::uint32_t mask_ = kDefaultStride - 1;
+  // The fast path's one sampling test: an entry samples when its site
+  // count ANDed with gate_ is 0.  gate_ is mask_ at top level and 0 while
+  // a sample is open (cur_ != nullptr), so the stride and "inside a
+  // sample" cost a single branch.
+  std::uint32_t gate_ = kDefaultStride - 1;
   Node* cur_ = nullptr;  // innermost open SAMPLE's node; nullptr = not sampling
   std::uint64_t site_calls_[kSiteCount] = {};  // exact entries per site
   std::vector<Node> nodes_;       // reserved to kMaxNodes: pointers stable
@@ -185,7 +190,7 @@ class Profiler {
 /// RAII scope for a profiler site.  Safe on a null profiler: the common
 /// disabled path is one branch in the constructor and one in the
 /// destructor.  The enabled un-sampled path — the one that runs per packet
-/// — is one exact counter increment and two predicted branches; all tree
+/// — is one exact counter increment and one predicted branch; all tree
 /// and clock work happens only on sampled entries (1/stride at top level,
 /// or riding an open sample's subtree).
 class ProfScope {
@@ -193,14 +198,10 @@ class ProfScope {
   ProfScope(Profiler* prof, ProfSite site) {
     if (prof != nullptr) {
       const auto idx = static_cast<std::size_t>(site);
-      const std::uint64_t c = prof->site_calls_[idx]++;
-      Profiler::Node* parent = prof->cur_;
-      if (parent == nullptr) [[likely]] {
-        if ((c & prof->mask_) != 0) [[likely]] return;  // un-sampled: done
-      }
+      if ((prof->site_calls_[idx]++ & prof->gate_) != 0) [[likely]] return;  // un-sampled
       // Sampled: own stride fired at top level, or inside an open sample's
       // subtree.  Full node accounting with wall clock, off the fast path.
-      Open(prof, parent, site);
+      Open(prof, site);
     }
   }
   ~ProfScope() {
@@ -210,17 +211,19 @@ class ProfScope {
   ProfScope& operator=(const ProfScope&) = delete;
 
  private:
-  void Open(Profiler* prof, Profiler::Node* parent, ProfSite site) {
+  void Open(Profiler* prof, ProfSite site) {
     prof_ = prof;
-    parent_ = parent;
-    node_ = prof->ChildOf(parent, site);
+    parent_ = prof->cur_;
+    node_ = prof->ChildOf(parent_, site);
     prof->cur_ = node_;
+    prof->gate_ = 0;  // every scope nested in this sample samples too
     t0_ns_ = std::chrono::steady_clock::now().time_since_epoch().count();
   }
   void Close() {
     const std::int64_t now_ns =
         std::chrono::steady_clock::now().time_since_epoch().count();
     prof_->cur_ = parent_;
+    if (parent_ == nullptr) prof_->gate_ = prof_->mask_;  // back at top level
     ++node_->samples;
     node_->sampled_ns += static_cast<std::uint64_t>(now_ns - t0_ns_);
   }

@@ -2,6 +2,10 @@
 // module sharing, mode gating, flow tables, meters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "boosters/shared_ppms.h"
 #include "dataplane/flow_table.h"
 #include "dataplane/meter.h"
@@ -209,6 +213,61 @@ TEST(FlowTableTest, ForEachVisitsOccupiedOnly) {
   int visited = 0;
   table.ForEach([&](const FlowState&) { ++visited; });
   EXPECT_EQ(visited, 2);
+}
+
+// Model check of the live-slot list behind ForEach: a seeded random run of
+// Lookups at advancing times (so stale incumbents get replaced), Resets and
+// imports from a second table, on 8 slots so keys collide.  After every
+// operation ForEach must visit exactly the occupied slots ExportWords()
+// lists, each once.
+TEST(FlowTableTest, ForEachVisitsEachOccupiedSlotOnceUnderChurn) {
+  FlowTable table(8, /*stale_timeout=*/kSecond);
+  FlowTable donor(8, /*stale_timeout=*/kSecond);
+  auto visited = [&] {
+    std::vector<std::uint64_t> keys;
+    table.ForEach([&](const FlowState& fs) { keys.push_back(fs.key); });
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  auto exported = [&] {
+    const std::vector<std::uint64_t> words = table.ExportWords();
+    std::vector<std::uint64_t> keys;
+    for (std::size_t i = 0; i < words.size(); i += 4) keys.push_back(words[i]);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+
+  std::mt19937_64 rng(20261018);
+  SimTime now = 0;
+  int stale_replacements = 0;
+  int imports_onto_occupied = 0;
+  for (int op = 0; op < 4000; ++op) {
+    const std::size_t live_before = visited().size();
+    const std::uint64_t roll = rng() % 100;
+    if (roll < 85) {
+      now += static_cast<SimTime>(rng() % (400 * kMillisecond));
+      const std::uint64_t installs_before = table.installs();
+      FlowState* fs = table.Lookup(rng() % 24, now);
+      if (fs != nullptr) fs->last_seen = now;
+      if (table.installs() > installs_before && visited().size() == live_before)
+        ++stale_replacements;
+    } else if (roll < 97) {
+      donor.Reset();
+      for (int i = 0; i < 4; ++i) donor.Lookup(rng() % 24, now);
+      table.ImportWords(donor.ExportWords(), now);
+      if (visited().size() < live_before + donor.ExportWords().size() / 4)
+        ++imports_onto_occupied;
+    } else {
+      table.Reset();
+    }
+    const std::vector<std::uint64_t> keys = visited();
+    ASSERT_EQ(keys, exported()) << "after operation " << op;
+    ASSERT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+        << "a slot visited twice after operation " << op;
+  }
+  // The run exercised both ways an occupied slot is taken over.
+  EXPECT_GT(stale_replacements, 0);
+  EXPECT_GT(imports_onto_occupied, 0);
 }
 
 TEST(FlowTableTest, ExportImportRoundTrips) {

@@ -3,6 +3,7 @@
 // and the INT-vs-traceroute path cross-check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -299,7 +300,7 @@ TEST(IntPpm, IntPathMatchesTraceroutePath) {
   // Traceroute reports switch router addresses then the destination; the
   // journey reports switch ids.  Map ids to addresses and compare hop by
   // hop — the two observation channels must tell the same story.
-  const IntJourney& j = col.recent_journeys().back();
+  const IntJourney j = col.recent_journeys().back();
   std::vector<Address> int_path;
   for (NodeId s : j.PathSwitches()) {
     int_path.push_back(tn.net->topology().node(s).address);
@@ -332,6 +333,8 @@ IntJourney MakeJourney(FlowId flow, const std::vector<NodeId>& path, SimTime t0,
 TEST(IntCollectorTest, DetectsPathChurn) {
   IntCollector col;
   col.Ingest(MakeJourney(7, {1, 2, 3}, kSecond, 0, 0, 0, 1));
+  EXPECT_EQ(col.path_churn_total(), 0u);  // a first path is not churn
+  EXPECT_EQ(col.flows().at(7).last_path, (std::vector<NodeId>{1, 2, 3}));
   col.Ingest(MakeJourney(7, {1, 2, 3}, 2 * kSecond, 0, 0, 0, 2));
   EXPECT_EQ(col.path_churn_total(), 0u);
 
@@ -349,6 +352,42 @@ TEST(IntCollectorTest, DetectsPathChurn) {
   EXPECT_EQ(col.path_churn_total(), 1u);
   EXPECT_EQ(col.flows().at(7).path_changes, 1u);
   EXPECT_EQ(col.flows().at(8).path_changes, 0u);
+
+  // Moving back is churn again, from the new path to the old one.
+  col.Ingest(MakeJourney(7, {1, 2, 3}, 5 * kSecond, 0, 0, 0, 5));
+  EXPECT_EQ(col.path_churn_total(), 2u);
+  EXPECT_EQ(col.flows().at(7).path_changes, 2u);
+  EXPECT_EQ(col.flows().at(7).last_path, (std::vector<NodeId>{1, 2, 3}));
+  ASSERT_EQ(col.churn_events().size(), 2u);
+  EXPECT_EQ(col.churn_events()[1].seq, 5u);
+  EXPECT_EQ(col.churn_events()[1].prev_path, (std::vector<NodeId>{1, 4, 3}));
+  EXPECT_EQ(col.churn_events()[1].path, (std::vector<NodeId>{1, 2, 3}));
+}
+
+TEST(IntCollectorTest, RecentJourneysKeepTheLastCapOldestFirst) {
+  constexpr std::size_t kCap = IntCollector::kRecentCap;
+  IntCollector col;
+  std::uint64_t seq = 0;
+  auto ingest_until = [&](std::uint64_t n) {
+    for (; seq < n; ++seq) {
+      col.Ingest(MakeJourney(static_cast<FlowId>(seq % 3), {1, 2},
+                             static_cast<SimTime>(seq) * kMillisecond, 0, 0, 0, seq));
+    }
+  };
+  // Filling, exactly full, and wrapped past the cap.
+  for (const std::uint64_t n : {std::uint64_t{3}, std::uint64_t{kCap}, std::uint64_t{kCap + 10}}) {
+    ingest_until(n);
+    const std::vector<IntJourney> recent = col.recent_journeys();
+    ASSERT_EQ(recent.size(), std::min<std::size_t>(n, kCap)) << "after " << n;
+    for (std::size_t i = 0; i < recent.size(); ++i) {
+      EXPECT_EQ(recent[i].seq, n - recent.size() + i) << "after " << n << ", position " << i;
+    }
+  }
+  col.Reset();
+  EXPECT_TRUE(col.recent_journeys().empty());
+  col.Ingest(MakeJourney(1, {1, 2}, 0, 0, 0, 0, 99));
+  ASSERT_EQ(col.recent_journeys().size(), 1u);
+  EXPECT_EQ(col.recent_journeys()[0].seq, 99u);
 }
 
 TEST(IntCollectorTest, HottestHopIsPerTimeWindow) {

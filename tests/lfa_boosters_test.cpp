@@ -151,6 +151,56 @@ TEST(LfaDetectorTest, RetransmitSignalsTracked) {
   EXPECT_EQ(fs->packets, 3u);
 }
 
+// The periodic register sweep counts exactly the persistent low-rate flows:
+// not the young (age < min_flow_age), the idle (> 1 s since the last
+// packet) or the high-rate ones.  The count drives aggregate_suspicious()
+// against aggregate_flow_alarm, and a Reset() table counts nothing.
+TEST(LfaDetectorTest, SweepCountsExactlyThePersistentLowRateFlows) {
+  constexpr int kYoung = 6, kIdle = 5, kHighRate = 4, kPersistentLowRate = 12;
+  for (const std::uint64_t alarm : {std::uint64_t{kPersistentLowRate},
+                                    std::uint64_t{kPersistentLowRate + 1}}) {
+    LfaConfig config;
+    config.aggregate_flow_alarm = alarm;
+    DetectorHarness h(config);
+    h.detector->StartTimers();  // a sweep every check_period (100 ms)
+    auto feed = [&](int first_src, int n, std::uint32_t size) {
+      for (int f = 0; f < n; ++f) h.Feed(static_cast<Address>(first_src + f), 999, size);
+    };
+
+    // t = 0: the idle, high-rate and persistent low-rate flows start.
+    feed(100, kIdle, 200);
+    feed(200, kHighRate, 200);
+    feed(300, kPersistentLowRate, 200);
+    // t = 1.5 s: the young flows start.
+    h.tn.net->RunUntil(1500 * kMillisecond);
+    feed(400, kYoung, 200);
+    // t = 2.05 s: every flow but the idle ones sends again; the high-rate
+    // flows push 2 MB (about 8 Mbps over their life, over low_rate_bps).
+    h.tn.net->RunUntil(2050 * kMillisecond);
+    for (int i = 0; i < 20; ++i) feed(200, kHighRate, 100'000);
+    feed(300, kPersistentLowRate, 200);
+    feed(400, kYoung, 200);
+    ASSERT_EQ(h.detector->flows().installs(),
+              static_cast<std::uint64_t>(kYoung + kIdle + kHighRate + kPersistentLowRate))
+        << "a flow went untracked, so the hand count does not hold";
+
+    // The sweep at 2.1 s: the young are 0.6 s old, the idle 2.1 s quiet.
+    h.tn.net->RunUntil(2150 * kMillisecond);
+    EXPECT_EQ(h.detector->persistent_low_rate_flows(),
+              static_cast<std::uint64_t>(kPersistentLowRate));
+    EXPECT_EQ(h.detector->aggregate_suspicious(), kPersistentLowRate >= alarm)
+        << "aggregate_flow_alarm " << alarm;
+
+    h.detector->Reset();
+    int visits = 0;
+    h.detector->flows().ForEach([&](const dataplane::FlowState&) { ++visits; });
+    EXPECT_EQ(visits, 0);
+    h.tn.net->RunUntil(2250 * kMillisecond);
+    EXPECT_EQ(h.detector->persistent_low_rate_flows(), 0u);
+    EXPECT_FALSE(h.detector->aggregate_suspicious());
+  }
+}
+
 TEST(PacketDropperTest, DropsOnlyAboveThresholdProbabilistically) {
   TestNet tn = MakeLineNet(2);
   PacketDropperPpm dropper(tn.net.get(), 90, 0.8);

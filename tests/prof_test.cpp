@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <functional>
+#include <map>
 #include <string>
 
 #include "telemetry/export.h"
@@ -100,6 +101,31 @@ TEST(Profiler, SampledEntryCapturesItsSubtree) {
     }
   }
   EXPECT_TRUE(found_child);
+}
+
+TEST(Profiler, EveryScopeInsideASampleSamplesUntilItCloses) {
+  Profiler prof;
+  prof.Enable(256);
+  { ProfScope host(prof.enabled_self(), ProfSite::kHostStack); }  // host entry 0 samples
+  {
+    ProfScope outer(prof.enabled_self(), ProfSite::kEventDispatch);  // entry 0 samples
+    { ProfScope walk(prof.enabled_self(), ProfSite::kPipelineWalk); }
+    // A nested scope closing does not end the outer sample: host entry 1
+    // samples because the sample is still open.
+    { ProfScope host(prof.enabled_self(), ProfSite::kHostStack); }
+  }
+  // Back at top level the stride rules again: host entry 2 does not sample.
+  { ProfScope host(prof.enabled_self(), ProfSite::kHostStack); }
+
+  std::map<std::string, std::uint64_t> samples;
+  for (std::size_t i = 0; i < prof.nodes().size(); ++i) {
+    samples[prof.PathOf(i)] = prof.nodes()[i].samples;
+  }
+  EXPECT_EQ(samples["event_dispatch"], 1u);
+  EXPECT_EQ(samples["event_dispatch.pipeline_walk"], 1u);
+  EXPECT_EQ(samples["event_dispatch.host_stack"], 1u);
+  EXPECT_EQ(samples["host_stack"], 1u);
+  EXPECT_EQ(prof.CallsAt(ProfSite::kHostStack), 3u);
 }
 
 TEST(Profiler, TreeSaturationFallsBackToRootNodes) {
