@@ -7,40 +7,60 @@
 namespace fastflex::control {
 namespace {
 
-/// Next hop of the shortest path src -> dst, optionally treating one link
-/// as removed; kInvalidNode if unreachable.
-NodeId NextHopOnShortest(const sim::Topology& topo, NodeId src, NodeId dst,
-                         LinkId removed = kInvalidLink) {
-  if (src == dst) return kInvalidNode;
-  std::vector<double> cost;
-  const std::vector<double>* cost_ptr = nullptr;
-  if (removed != kInvalidLink) {
-    cost.assign(topo.NumLinks(), 1.0);
-    cost[static_cast<std::size_t>(removed)] = std::numeric_limits<double>::infinity();
-    cost_ptr = &cost;
+/// The first hop of `src`'s shortest path to every node (kInvalidNode for
+/// `src` and the unreachable), from one search; `cost` as in ShortestPath.
+std::vector<NodeId> FirstHops(const sim::Topology& topo, NodeId src,
+                              const std::vector<double>* cost) {
+  const std::vector<NodeId> prev = topo.ShortestPathTree(src, cost);
+  std::vector<NodeId> first(prev.size(), kInvalidNode);
+  for (std::size_t v = 0; v < prev.size(); ++v) {
+    auto at = static_cast<NodeId>(v);
+    while (prev[static_cast<std::size_t>(at)] != kInvalidNode &&
+           prev[static_cast<std::size_t>(at)] != src) {
+      at = prev[static_cast<std::size_t>(at)];
+    }
+    if (prev[static_cast<std::size_t>(at)] == src) first[v] = at;
   }
-  const sim::Path p = topo.ShortestPath(src, dst, cost_ptr);
-  return p.size() >= 2 ? p[1] : kInvalidNode;
+  return first;
 }
 
 }  // namespace
 
 void InstallDstRoutes(sim::Network& net) {
+  // Each (switch, destination) pair gets the first hop of the per-pair
+  // search and the first hop of that search with the primary's link
+  // removed.  A search's result for one destination does not depend on
+  // where it stops (see Topology::ShortestPathTree), so one full search per
+  // switch gives every primary, and one per distinct primary link every
+  // backup: 2 x switches x nodes searches become switches x (1 + primary
+  // neighbors).
   const sim::Topology& topo = net.topology();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> cost(topo.NumLinks(), 1.0);
+  std::vector<NodeId> hops;
   for (const auto& sw_info : topo.nodes()) {
     if (sw_info.kind != sim::NodeKind::kSwitch) continue;
     sim::SwitchNode* sw = net.switch_at(sw_info.id);
+    const std::vector<NodeId> primary = FirstHops(topo, sw_info.id, nullptr);
+    std::vector<NodeId> backup(primary.size(), kInvalidNode);
+    std::vector<bool> searched(primary.size(), false);
+    for (const NodeId p : primary) {
+      if (p == kInvalidNode || searched[static_cast<std::size_t>(p)]) continue;
+      searched[static_cast<std::size_t>(p)] = true;
+      const auto link = static_cast<std::size_t>(*topo.LinkBetween(sw_info.id, p));
+      cost[link] = kInf;
+      const std::vector<NodeId> around = FirstHops(topo, sw_info.id, &cost);
+      cost[link] = 1.0;
+      for (std::size_t d = 0; d < primary.size(); ++d) {
+        if (primary[d] == p) backup[d] = around[d];
+      }
+    }
     for (const auto& dst_info : topo.nodes()) {
-      if (dst_info.id == sw_info.id) continue;
-      const NodeId primary = NextHopOnShortest(topo, sw_info.id, dst_info.id);
-      if (primary == kInvalidNode) continue;
-      std::vector<NodeId> hops{primary};
-      const auto primary_link = topo.LinkBetween(sw_info.id, primary);
-      const NodeId backup =
-          NextHopOnShortest(topo, sw_info.id, dst_info.id,
-                            primary_link ? *primary_link : kInvalidLink);
-      if (backup != kInvalidNode && backup != primary) hops.push_back(backup);
-      sw->SetDstRoute(dst_info.address, std::move(hops));
+      const auto d = static_cast<std::size_t>(dst_info.id);
+      if (primary[d] == kInvalidNode) continue;
+      hops.assign(1, primary[d]);
+      if (backup[d] != kInvalidNode && backup[d] != primary[d]) hops.push_back(backup[d]);
+      sw->SetDstRoute(dst_info.address, hops);
     }
   }
 }

@@ -50,9 +50,9 @@ class FastFailoverPpm : public Ppm {
   std::uint64_t no_backup() const { return no_backup_; }
 
  private:
-  /// Whether the egress toward `next_hop` is usable (link up, or down for
-  /// less than the detection delay).  Returns the link id via `out_link`.
-  bool EgressAlive(NodeId next_hop, SimTime now, LinkId* out_link) const;
+  /// Whether an egress link is usable (up, or down for less than the
+  /// detection delay); kInvalidLink (no adjacency) is not.
+  bool EgressAlive(LinkId link, SimTime now) const;
 
   sim::Network* net_;
   sim::SwitchNode* sw_;

@@ -86,26 +86,22 @@ void IntTransitPpm::Process(sim::PacketContext& ctx) {
   rec.mode_word = pipe_->active_modes();
   rec.mode_epoch = epoch_fn_ ? epoch_fn_() : 0;
 
-  // Observe the egress queue this packet is about to join.  The forwarding
-  // decision at this point is the pipeline's override if one was made
-  // (reroute runs before transit by installation order), else the routing
-  // tables' choice — the same precedence SwitchNode::Receive applies.
-  const NodeId next_hop = ctx.next_hop_override != kInvalidNode
-                              ? ctx.next_hop_override
-                              : sw_->NextHopFor(pkt);
-  if (next_hop != kInvalidNode) {
-    if (auto link = net_->topology().LinkBetween(sw_->id(), next_hop)) {
-      const sim::LinkRuntime& rt = net_->link_runtime(*link);
-      const sim::LinkInfo& info = net_->topology().link(*link);
-      rec.queue_bytes = rt.queued_bytes;
-      const SimTime start = std::max(ctx.now, rt.next_free);
-      const SimTime serialize =
-          info.rate_bps > 0.0
-              ? static_cast<SimTime>(std::ceil(static_cast<double>(pkt.size_bytes) *
-                                               8.0 / info.rate_bps * 1e9))
-              : 0;
-      rec.egress_at = start + serialize;
-    }
+  // Observe the egress queue this packet is about to join: the pipeline's
+  // override if one was made by now (reroute and fast failover run before
+  // transit by phase), else the routing tables' choice, which
+  // SwitchNode::Receive then reuses.
+  const LinkId link = sw_->EgressFor(ctx).link;
+  if (link != kInvalidLink) {
+    const sim::LinkRuntime& rt = net_->link_runtime(link);
+    const sim::LinkInfo& info = net_->topology().link(link);
+    rec.queue_bytes = rt.queued_bytes;
+    const SimTime start = std::max(ctx.now, rt.next_free);
+    const SimTime serialize =
+        info.rate_bps > 0.0
+            ? static_cast<SimTime>(std::ceil(static_cast<double>(pkt.size_bytes) * 8.0 /
+                                             info.rate_bps * 1e9))
+            : 0;
+    rec.egress_at = start + serialize;
   }
 
   if (pkt.int_stack->Push(rec)) {

@@ -26,7 +26,6 @@ Network::Network(Topology topo, std::uint64_t seed)
       nodes_.push_back(std::make_unique<SwitchNode>(this, n.id));
     } else {
       nodes_.push_back(std::make_unique<Host>(this, n.id));
-      host_by_addr_[n.address] = n.id;
     }
   }
 }
@@ -247,8 +246,9 @@ void Network::StopFlow(FlowId flow) {
 }
 
 NodeId Network::HostByAddress(Address a) const {
-  auto it = host_by_addr_.find(a);
-  return it == host_by_addr_.end() ? kInvalidNode : it->second;
+  const NodeId n = topo_.NodeByAddress(a);
+  // A switch's router address names a node, but not a host.
+  return n != kInvalidNode && topo_.node(n).kind == NodeKind::kHost ? n : kInvalidNode;
 }
 
 void Network::RecordGoodput(FlowId flow, std::uint64_t bytes) {

@@ -234,7 +234,8 @@ class Network {
   /// Sum of goodput of the given flows in the bin containing `t`, in bits/s.
   double AggregateGoodputBps(const std::vector<FlowId>& flows, SimTime t) const;
 
-  /// Address -> host node id resolution.
+  /// The host whose address is `a`, or kInvalidNode (for a switch's
+  /// router address too).
   NodeId HostByAddress(Address a) const;
 
   /// Runs the simulation until `t`: the one way a run executes.
@@ -339,7 +340,6 @@ class Network {
   mutable std::vector<DepartureFifo> departures_;  // parallel to link_rt_
   std::unordered_map<FlowId, FlowStats> flow_stats_;
   std::unordered_map<FlowId, FlowEndpoints> flow_endpoints_;
-  std::unordered_map<Address, NodeId> host_by_addr_;
   FlowId next_flow_ = 1;
   SimTime sample_period_ = 0;
   SimTime last_sample_ = 0;

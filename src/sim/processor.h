@@ -36,6 +36,13 @@ struct PacketContext {
   bool consume = false;   // the pipeline absorbed the packet (e.g. a probe)
   NodeId next_hop_override = kInvalidNode;  // forwarding decision override
   std::vector<Emission> emit;               // packets to inject
+
+  // --- the routing tables' decision for `pkt`, made once per packet ---
+  // Filled on first read by SwitchNode::EgressFor; read it only through
+  // that accessor, which also applies `next_hop_override`.
+  bool table_decided = false;
+  NodeId table_next_hop = kInvalidNode;
+  LinkId table_link = kInvalidLink;
 };
 
 class PacketProcessor {

@@ -1,15 +1,24 @@
 #include "sim/switch_node.h"
 
+#include <cassert>
+
 #include "sim/network.h"
 #include "telemetry/telemetry.h"
 #include "util/logging.h"
 
 namespace fastflex::sim {
 
-SwitchNode::SwitchNode(Network* net, NodeId id) : Node(net, id) {
+SwitchNode::SwitchNode(Network* net, NodeId id)
+    : Node(net, id),
+      dst_routes_(net->topology().NumNodes()),
+      link_to_(net->topology().NumNodes(), kInvalidLink),
+      avoid_(net->topology().NumNodes(), 0) {
   const Topology& topo = net->topology();
   for (LinkId l : topo.OutLinks(id)) {
     const NodeId peer = topo.link(l).to;
+    // The first link to a peer wins, as in Topology::LinkBetween.
+    LinkId& to_peer = link_to_[static_cast<std::size_t>(peer)];
+    if (to_peer == kInvalidLink) to_peer = l;
     if (topo.node(peer).kind == NodeKind::kSwitch) switch_neighbors_.push_back(peer);
   }
 }
@@ -48,59 +57,82 @@ void SwitchNode::Receive(Packet&& pkt, LinkId in_link) {
   }
   if (ctx.consume) return;
 
-  NodeId nh = ctx.next_hop_override;
-  if (nh == kInvalidNode) nh = NextHopFor(pkt);
-  if (nh == kInvalidNode) {
+  // A PPM that read the egress cached the tables' decision; nothing after
+  // it may have changed what the tables would say (see EgressFor).
+  assert(!ctx.table_decided || ctx.table_next_hop == NextHopFor(pkt));
+  const Egress out = EgressFor(ctx);
+  if (out.link == kInvalidLink) {
     ++no_route_drops_;
     return;
   }
-  Forward(std::move(pkt), nh);
+  ++forwarded_;
+  net_->SendOnLink(out.link, std::move(pkt));
 }
 
-void SwitchNode::SetFlowRoute(FlowId flow, NodeId next_hop) { flow_routes_[flow] = next_hop; }
-void SwitchNode::ClearFlowRoute(FlowId flow) { flow_routes_.erase(flow); }
-void SwitchNode::ClearFlowRoutes() { flow_routes_.clear(); }
+void SwitchNode::SetFlowRoute(FlowId flow, NodeId next_hop) {
+  assert(flow >= 0 && next_hop != kInvalidNode);
+  const auto i = static_cast<std::size_t>(flow);
+  if (i >= flow_routes_.size()) flow_routes_.resize(i + 1, kInvalidNode);
+  flow_routes_[i] = next_hop;
+}
 
-void SwitchNode::SetDstRoute(Address dst, std::vector<NodeId> next_hops) {
-  dst_routes_[dst] = std::move(next_hops);
+void SwitchNode::SetDstRoute(Address dst, const std::vector<NodeId>& next_hops) {
+  const NodeId node = net_->topology().NodeByAddress(dst);
+  assert(node != kInvalidNode && next_hops.size() <= kMaxDstCandidates);
+  if (node == kInvalidNode) return;
+  DstRoute& route = dst_routes_[static_cast<std::size_t>(node)];
+  route = DstRoute{};
+  for (NodeId nh : next_hops) {
+    if (route.size == kMaxDstCandidates) break;
+    route.hops[route.size++] = nh;
+  }
+}
+
+std::span<const NodeId> SwitchNode::DstCandidates(Address dst) const {
+  const NodeId node = net_->topology().NodeByAddress(dst);
+  if (node == kInvalidNode) return {};
+  const DstRoute& route = dst_routes_[static_cast<std::size_t>(node)];
+  return {route.hops.data(), route.size};
 }
 
 void SwitchNode::SetAvoidNeighbor(NodeId neighbor, bool avoid) {
+  // An id that names no node (a forged notice's origin) is never a next
+  // hop, so marking it could change no decision.
+  const auto i = static_cast<std::size_t>(neighbor);
+  if (i >= avoid_.size() || (avoid_[i] != 0) == avoid) return;
+  avoid_[i] = avoid ? 1 : 0;
   if (avoid) {
-    avoid_.insert(neighbor);
+    ++num_avoided_;
   } else {
-    avoid_.erase(neighbor);
+    --num_avoided_;
   }
-}
-
-NodeId SwitchNode::PickDstNextHop(Address dst) const {
-  auto it = dst_routes_.find(dst);
-  if (it == dst_routes_.end()) return kInvalidNode;
-  for (NodeId nh : it->second) {
-    if (!avoid_.contains(nh)) return nh;
-  }
-  return kInvalidNode;
 }
 
 NodeId SwitchNode::NextHopFor(const Packet& pkt) const {
   // Per-flow TE routes describe the forward direction; ACKs (the reverse
   // 5-tuple) follow destination routes.
   const bool forward = pkt.kind == PacketKind::kData || pkt.kind == PacketKind::kUdp;
-  if (forward && pkt.flow != kInvalidFlow) {
-    auto it = flow_routes_.find(pkt.flow);
-    if (it != flow_routes_.end() && !avoid_.contains(it->second)) return it->second;
+  if (forward && pkt.flow >= 0 && static_cast<std::size_t>(pkt.flow) < flow_routes_.size()) {
+    const NodeId nh = flow_routes_[static_cast<std::size_t>(pkt.flow)];
+    if (nh != kInvalidNode && !Avoids(nh)) return nh;
   }
-  return PickDstNextHop(pkt.dst);
+  const NodeId dst = net_->topology().NodeByAddress(pkt.dst);
+  if (dst == kInvalidNode) return kInvalidNode;
+  const DstRoute& route = dst_routes_[static_cast<std::size_t>(dst)];
+  for (std::uint32_t i = 0; i < route.size; ++i) {
+    if (!Avoids(route.hops[i])) return route.hops[i];
+  }
+  return kInvalidNode;
 }
 
 void SwitchNode::Forward(Packet&& pkt, NodeId next_hop) {
-  auto l = net_->topology().LinkBetween(id_, next_hop);
-  if (!l) {
+  const LinkId l = LinkTo(next_hop);
+  if (l == kInvalidLink) {
     ++no_route_drops_;
     return;
   }
   ++forwarded_;
-  net_->SendOnLink(*l, std::move(pkt));
+  net_->SendOnLink(l, std::move(pkt));
 }
 
 void SwitchNode::SendTo(NodeId next_hop, Packet&& pkt) { Forward(std::move(pkt), next_hop); }

@@ -1,6 +1,7 @@
 #include "sim/topology.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -11,17 +12,20 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Hosts get addresses 10.0.x.y, switches router-addresses 192.168.x.y.
-Address MakeAddress(NodeKind kind, NodeId id) {
-  const auto n = static_cast<std::uint32_t>(id);
-  if (kind == NodeKind::kHost) return (10u << 24) | (n << 1) | 1u;
-  return (192u << 24) | (168u << 16) | n;
-}
-
 }  // namespace
+
+Address Topology::MakeAddress(NodeKind kind, NodeId id) {
+  const auto n = static_cast<std::uint32_t>(id);
+  if (kind == NodeKind::kHost) return kHostNet | (n << 1) | 1u;
+  return kSwitchNet | n;
+}
 
 NodeId Topology::AddNode(NodeKind kind, std::string name) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
+  assert(static_cast<std::uint32_t>(id) <
+             (kind == NodeKind::kHost ? kHostIdLimit : kSwitchIdLimit) &&
+         "node id past the address plan");
+  assert(FindByName(name) == kInvalidNode && "node names must be unique");
   nodes_.push_back(NodeInfo{id, kind, std::move(name), MakeAddress(kind, id)});
   out_links_.emplace_back();
   return id;
@@ -52,6 +56,17 @@ NodeId Topology::FindByName(const std::string& name) const {
 }
 
 Path Topology::ShortestPath(NodeId src, NodeId dst, const std::vector<double>* cost) const {
+  const std::vector<NodeId> prev = ShortestPathTree(src, cost, dst);
+  if (dst != src && prev[static_cast<std::size_t>(dst)] == kInvalidNode) return {};
+  Path path;
+  for (NodeId at = dst; at != kInvalidNode; at = prev[static_cast<std::size_t>(at)])
+    path.push_back(at);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+std::vector<NodeId> Topology::ShortestPathTree(NodeId src, const std::vector<double>* cost,
+                                               NodeId stop) const {
   const std::size_t n = nodes_.size();
   std::vector<double> dist(n, kInf);
   std::vector<NodeId> prev(n, kInvalidNode);
@@ -63,7 +78,7 @@ Path Topology::ShortestPath(NodeId src, NodeId dst, const std::vector<double>* c
     auto [d, u] = pq.top();
     pq.pop();
     if (d > dist[static_cast<std::size_t>(u)]) continue;
-    if (u == dst) break;
+    if (u == stop) break;
     for (LinkId l : out_links_[static_cast<std::size_t>(u)]) {
       const auto& li = links_[static_cast<std::size_t>(l)];
       // Transit through hosts is forbidden: a host may only be the first or
@@ -79,12 +94,7 @@ Path Topology::ShortestPath(NodeId src, NodeId dst, const std::vector<double>* c
       }
     }
   }
-  if (!std::isfinite(dist[static_cast<std::size_t>(dst)])) return {};
-  Path path;
-  for (NodeId at = dst; at != kInvalidNode; at = prev[static_cast<std::size_t>(at)])
-    path.push_back(at);
-  std::reverse(path.begin(), path.end());
-  return path;
+  return prev;
 }
 
 std::vector<Path> Topology::KShortestPaths(NodeId src, NodeId dst, std::size_t k,

@@ -269,6 +269,71 @@ TEST(IntPpm, MatchRuleFiltersAndSamples) {
   }
 }
 
+/// Steers every packet to one neighbor: a forwarding decision made after
+/// INT transit has read the egress.
+class OverridePpm : public dataplane::Ppm {
+ public:
+  explicit OverridePpm(NodeId via)
+      : Ppm("override", {dataplane::PpmKind::kForwardingOverride, {}}, {}), via_(via) {}
+  void Process(sim::PacketContext& ctx) override { ctx.next_hop_override = via_; }
+
+ private:
+  NodeId via_;
+};
+
+TEST(IntPpm, LaterOverrideLeavesTheRecordOnTheTableEgress) {
+  // s0 reaches s2 over a slow direct link (the table's choice) and over a
+  // fast detour through s1, which a PPM after transit picks instead.
+  sim::Topology topo;
+  const NodeId s0 = topo.AddNode(sim::NodeKind::kSwitch, "s0");
+  const NodeId s1 = topo.AddNode(sim::NodeKind::kSwitch, "s1");
+  const NodeId s2 = topo.AddNode(sim::NodeKind::kSwitch, "s2");
+  const NodeId h0 = topo.AddNode(sim::NodeKind::kHost, "h0");
+  const NodeId h1 = topo.AddNode(sim::NodeKind::kHost, "h1");
+  const LinkId direct = topo.AddDuplexLink(s0, s2, 10e6, kMillisecond, 200'000);
+  const LinkId detour = topo.AddDuplexLink(s0, s1, 100e6, kMillisecond, 200'000);
+  topo.AddDuplexLink(s1, s2, 100e6, kMillisecond, 200'000);
+  topo.AddDuplexLink(s0, h0, 100e6, kMillisecond, 200'000);
+  topo.AddDuplexLink(s2, h1, 100e6, kMillisecond, 200'000);
+  sim::Network net(topo, 1);
+  control::InstallDstRoutes(net);
+
+  IntCollector col;
+  const auto host_edge = control::BuildHostEdgeMap(net);
+  std::vector<std::unique_ptr<dataplane::Pipeline>> pipes;
+  for (NodeId s : {s0, s1, s2}) {
+    auto pipe = std::make_unique<dataplane::Pipeline>(dataplane::DefaultSwitchCapacity());
+    sim::SwitchNode* sw = net.switch_at(s);
+    ASSERT_TRUE(pipe->Install(std::make_shared<IntSourcePpm>(sw, host_edge, IntMatchRule{})));
+    ASSERT_TRUE(pipe->Install(std::make_shared<IntTransitPpm>(&net, sw, pipe.get())));
+    if (s == s0) {
+      ASSERT_TRUE(pipe->Install(std::make_shared<OverridePpm>(s1)));
+    }
+    ASSERT_TRUE(pipe->Install(std::make_shared<IntSinkPpm>(sw, host_edge, &col)));
+    pipe->ActivateMode(dataplane::mode::kIntTelemetry);
+    sw->SetProcessor(pipe.get());
+    pipes.push_back(std::move(pipe));
+  }
+  sim::Packet pkt;
+  pkt.kind = sim::PacketKind::kUdp;
+  pkt.src = topo.node(h0).address;
+  pkt.dst = topo.node(h1).address;
+  pkt.size_bytes = 1000;
+  ASSERT_EQ(net.switch_at(s0)->NextHopFor(pkt), s2);
+  net.host_at(h0)->SendPacket(std::move(pkt));
+  net.RunUntil(kSecond);
+
+  // The packet left s0 on the override ...
+  EXPECT_EQ(net.link_runtime(detour).tx_packets, 1u);
+  EXPECT_EQ(net.link_runtime(direct).tx_packets, 0u);
+  ASSERT_EQ(col.journeys(), 1u);
+  const IntJourney j = col.recent_journeys().back();
+  EXPECT_EQ(j.PathSwitches(), (std::vector<NodeId>{s0, s1, s2}));
+  // ... while s0's record saw the table's egress: 1000 bytes serialize in
+  // 800 us on the idle 10 Mbps direct link (80 us on the detour).
+  EXPECT_EQ(j.hops[0].egress_at - j.hops[0].ingress_at, 800 * kMicrosecond);
+}
+
 // ---------------------------------------------------------------------------
 // Cross-check: the in-band path must agree with traceroute's view
 // ---------------------------------------------------------------------------

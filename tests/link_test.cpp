@@ -247,32 +247,85 @@ TEST(SwitchTest, FlowRouteOverridesDstRouteForForwardPacketsOnly) {
   EXPECT_EQ(net.switch_at(s3)->forwarded_packets(), 1u);  // unchanged
 }
 
-TEST(SwitchTest, FastRerouteUsesBackupWhenNeighborAvoided) {
+/// s1 reaches s2 directly and through s3; h2 hangs off s2.
+struct Triangle {
   Topology t;
-  const NodeId s1 = t.AddNode(NodeKind::kSwitch, "s1");
-  const NodeId s2 = t.AddNode(NodeKind::kSwitch, "s2");
-  const NodeId s3 = t.AddNode(NodeKind::kSwitch, "s3");
-  const NodeId h2 = t.AddNode(NodeKind::kHost, "h2");
-  t.AddDuplexLink(s1, s2, 1e9, kMillisecond, 100000);
-  t.AddDuplexLink(s1, s3, 1e9, kMillisecond, 100000);
-  t.AddDuplexLink(s3, s2, 1e9, kMillisecond, 100000);
-  t.AddDuplexLink(s2, h2, 1e9, kMillisecond, 100000);
-  Network net(t, 1);
+  NodeId s1, s2, s3, h2;
+  Triangle() {
+    s1 = t.AddNode(NodeKind::kSwitch, "s1");
+    s2 = t.AddNode(NodeKind::kSwitch, "s2");
+    s3 = t.AddNode(NodeKind::kSwitch, "s3");
+    h2 = t.AddNode(NodeKind::kHost, "h2");
+    t.AddDuplexLink(s1, s2, 1e9, kMillisecond, 100000);
+    t.AddDuplexLink(s1, s3, 1e9, kMillisecond, 100000);
+    t.AddDuplexLink(s3, s2, 1e9, kMillisecond, 100000);
+    t.AddDuplexLink(s2, h2, 1e9, kMillisecond, 100000);
+  }
+};
+
+TEST(SwitchTest, FastRerouteUsesBackupWhenNeighborAvoided) {
+  Triangle tri;
+  Network net(tri.t, 1);
   control::InstallDstRoutes(net);
 
   // Primary next hop from s1 to h2 is s2; avoid it -> backup via s3.
-  net.switch_at(s1)->SetAvoidNeighbor(s2, true);
-  Packet p = MakeUdp(net, s1, h2, 500);
-  net.switch_at(s1)->SendRouted(std::move(p));
+  net.switch_at(tri.s1)->SetAvoidNeighbor(tri.s2, true);
+  Packet p = MakeUdp(net, tri.s1, tri.h2, 500);
+  net.switch_at(tri.s1)->SendRouted(std::move(p));
   net.RunUntil(kSecond);
-  EXPECT_EQ(net.switch_at(s3)->forwarded_packets(), 1u);
+  EXPECT_EQ(net.switch_at(tri.s3)->forwarded_packets(), 1u);
 
   // Clearing the avoid restores the primary.
-  net.switch_at(s1)->SetAvoidNeighbor(s2, false);
-  Packet q = MakeUdp(net, s1, h2, 500);
-  net.switch_at(s1)->SendRouted(std::move(q));
+  net.switch_at(tri.s1)->SetAvoidNeighbor(tri.s2, false);
+  Packet q = MakeUdp(net, tri.s1, tri.h2, 500);
+  net.switch_at(tri.s1)->SendRouted(std::move(q));
   net.RunUntil(2 * kSecond);
-  EXPECT_EQ(net.switch_at(s3)->forwarded_packets(), 1u);  // unchanged
+  EXPECT_EQ(net.switch_at(tri.s3)->forwarded_packets(), 1u);  // unchanged
+}
+
+TEST(SwitchTest, AvoidMarkIsSetOrClearNotCounted) {
+  Triangle tri;
+  Network net(tri.t, 1);
+  control::InstallDstRoutes(net);
+  SwitchNode* s1 = net.switch_at(tri.s1);
+  const Packet p = MakeUdp(net, tri.s1, tri.h2, 500);
+  s1->SetAvoidNeighbor(tri.s2, true);
+  s1->SetAvoidNeighbor(tri.s2, true);
+  EXPECT_TRUE(s1->Avoids(tri.s2));
+  EXPECT_EQ(s1->NextHopFor(p), tri.s3);
+  s1->SetAvoidNeighbor(tri.s2, false);
+  EXPECT_FALSE(s1->Avoids(tri.s2));
+  EXPECT_EQ(s1->NextHopFor(p), tri.s2);
+}
+
+TEST(SwitchTest, AvoidedFlowRouteFallsBackToDstRoute) {
+  Triangle tri;
+  Network net(tri.t, 1);
+  control::InstallDstRoutes(net);
+  SwitchNode* s1 = net.switch_at(tri.s1);
+  Packet p = MakeUdp(net, tri.s1, tri.h2, 500);
+  p.flow = 42;
+  s1->SetFlowRoute(42, tri.s3);
+  EXPECT_EQ(s1->NextHopFor(p), tri.s3);
+  s1->SetAvoidNeighbor(tri.s3, true);
+  EXPECT_EQ(s1->NextHopFor(p), tri.s2);  // the destination's primary
+  s1->SendRouted(std::move(p));
+  net.RunUntil(kSecond);
+  EXPECT_EQ(net.switch_at(tri.s3)->forwarded_packets(), 0u);
+  EXPECT_EQ(net.switch_at(tri.s2)->forwarded_packets(), 1u);
+}
+
+TEST(SwitchTest, AddressOfNoNodeIsANoRouteDrop) {
+  Line line;
+  Network net(line.t, 1);
+  control::InstallDstRoutes(net);
+  // A spoofed source's address, as a SYN-ACK to it would carry.
+  Packet p = MakeUdp(net, line.h1, line.h2, 500);
+  p.dst = (203u << 24) | (113u << 8) | 7u;
+  net.host_at(line.h1)->SendPacket(std::move(p));
+  net.RunUntil(kSecond);
+  EXPECT_EQ(net.switch_at(line.s1)->no_route_drops(), 1u);
+  EXPECT_EQ(net.switch_at(line.s1)->forwarded_packets(), 0u);
 }
 
 TEST(SwitchTest, TtlExpiryGeneratesIcmpReply) {

@@ -3,6 +3,7 @@
 // random topologies, and transport sanity across a parameter grid.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "control/routes.h"
@@ -169,6 +170,51 @@ TEST_P(RandomGraphTest, DstRoutingDeliversBetweenAllHostPairs) {
   net.RunUntil(2 * kSecond);
   for (FlowId f : flows) {
     EXPECT_GT(net.flow_stats(f).delivered_bytes, 10'000u) << "seed " << GetParam();
+  }
+}
+
+TEST_P(RandomGraphTest, DstRoutesEqualThePerPairSearch) {
+  // Every host gets a second uplink, so a search that let hosts carry
+  // transit would find paths through them.
+  auto topo = RandomTopology(GetParam(), 12, 8, 6);
+  Rng rng(GetParam() ^ 0xd1a1);
+  for (std::size_t i = 0; i < topo.NumNodes(); ++i) {
+    const auto h = static_cast<NodeId>(i);
+    if (topo.node(h).kind != sim::NodeKind::kHost) continue;
+    const NodeId home = topo.link(topo.OutLinks(h).front()).to;
+    const auto other = static_cast<NodeId>((home + rng.UniformInt(1, 11)) % 12);
+    topo.AddDuplexLink(other, h, 100e6, kMillisecond, 150'000);
+  }
+  sim::Network net(topo, GetParam());
+  control::InstallDstRoutes(net);
+
+  // The per-pair reference: the primary is the shortest path's first hop,
+  // the backup that of the shortest path without the primary's link.
+  const sim::Topology& t = net.topology();
+  std::vector<double> cost(t.NumLinks(), 1.0);
+  for (const auto& sw : t.nodes()) {
+    if (sw.kind != sim::NodeKind::kSwitch) continue;
+    for (const auto& dst : t.nodes()) {
+      if (dst.id == sw.id) continue;
+      std::vector<NodeId> want;
+      const sim::Path p = t.ShortestPath(sw.id, dst.id);
+      if (p.size() >= 2) {
+        want.push_back(p[1]);
+        const auto l = static_cast<std::size_t>(*t.LinkBetween(sw.id, p[1]));
+        cost[l] = std::numeric_limits<double>::infinity();
+        const sim::Path q = t.ShortestPath(sw.id, dst.id, &cost);
+        cost[l] = 1.0;
+        if (q.size() >= 2 && q[1] != p[1]) want.push_back(q[1]);
+      }
+      const auto got = net.switch_at(sw.id)->DstCandidates(dst.address);
+      EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()), want)
+          << "seed " << GetParam() << " " << sw.name << "->" << dst.name;
+      for (NodeId c : got) {
+        EXPECT_TRUE(c == dst.id || t.node(c).kind == sim::NodeKind::kSwitch)
+            << "seed " << GetParam() << " " << sw.name << "->" << dst.name
+            << " transits host " << t.node(c).name;
+      }
+    }
   }
 }
 

@@ -50,6 +50,16 @@ TEST(TopologyTest, NodeAddressesAreUnique) {
   const NodeId h2 = t.AddNode(NodeKind::kHost, "h2");
   EXPECT_NE(t.node(h1).address, t.node(h2).address);
   EXPECT_NE(t.node(s).address, t.node(h1).address);
+
+  // NodeByAddress inverts the address plan, and only for addresses a node
+  // actually has.
+  for (const NodeInfo& n : t.nodes()) EXPECT_EQ(t.NodeByAddress(n.address), n.id);
+  EXPECT_EQ(t.NodeByAddress(0), kInvalidNode);
+  EXPECT_EQ(t.NodeByAddress(t.node(h1).address + 1), kInvalidNode);  // even 10/8
+  const auto past_last = static_cast<Address>(t.NumNodes());
+  EXPECT_EQ(t.NodeByAddress((10u << 24) | (past_last << 1) | 1u), kInvalidNode);
+  EXPECT_EQ(t.NodeByAddress((192u << 24) | (168u << 16) | static_cast<Address>(h2)),
+            kInvalidNode);  // a switch-style address carrying a host's id
 }
 
 TEST(TopologyTest, FindByName) {
